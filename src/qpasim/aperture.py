@@ -12,11 +12,9 @@ alternative profile.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from qpasim.receiver import ChannelSettings
 
 MODE_PROFILES = ("comb", "tophat")
 
@@ -37,20 +35,23 @@ class ApertureGeometry:
     waveguide_width_um: float = 0.82
 
     def __post_init__(self):
-        if self.n_antennas < 1:
+        # every check is written so that NaN fails it
+        if not self.n_antennas >= 1:
             raise ValueError("n_antennas must be >= 1")
         for name in ("pitch_um", "antenna_width_um", "antenna_length_um", "wavelength_nm",
                      "element_pattern_fwhm_deg", "waveguide_width_um"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
-        if self.pitch_um < self.antenna_width_um:
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError("%s must be finite and positive" % name)
+        if not 0 <= self.insertion_loss_db < np.inf:
+            raise ValueError("insertion_loss_db must be finite and >= 0")
+        if not self.pitch_um >= self.antenna_width_um:
             raise ValueError("pitch must be at least the antenna width")
         if self.mode_profile not in MODE_PROFILES:
             raise ValueError("mode_profile must be one of %s" % (MODE_PROFILES,))
         if self.mode_profile == "comb":
-            if self.n_waveguides < 1:
+            if not self.n_waveguides >= 1:
                 raise ValueError("n_waveguides must be >= 1")
-            if self.n_waveguides * self.waveguide_width_um > self.antenna_width_um + 1e-12:
+            if not self.n_waveguides * self.waveguide_width_um <= self.antenna_width_um + 1e-12:
                 raise ValueError("waveguides do not fit inside the antenna width")
 
     @property
@@ -89,13 +90,38 @@ class BeamSpec:
     incidence_angle_deg: float = 0.0
 
     def __post_init__(self):
-        if self.diameter_um <= 0:
-            raise ValueError("beam diameter must be positive")
+        if not 0 < self.diameter_um < np.inf:
+            raise ValueError("beam diameter must be finite and positive")
+        if not (np.isfinite(self.center_offset_um) and np.isfinite(self.incidence_angle_deg)):
+            raise ValueError("beam offset and incidence angle must be finite")
 
     @property
     def waist_um(self) -> float:
         """1/e^2 intensity radius; the amplitude profile is exp(-x^2/w^2)."""
         return self.diameter_um / 2
+
+
+@dataclass
+class ChannelSettings:
+    """Per-channel RF gains and net phases."""
+
+    gains: np.ndarray
+    phases: np.ndarray
+
+    def __post_init__(self):
+        self.gains = np.asarray(self.gains, dtype=float)
+        self.phases = np.asarray(self.phases, dtype=float)
+        if self.gains.shape != self.phases.shape or self.gains.ndim != 1:
+            raise ValueError("gains and phases must be 1-D vectors of equal length")
+        if not (np.all((self.gains >= 0) & (self.gains < np.inf)) and np.all(np.isfinite(self.phases))):
+            raise ValueError("gains must be finite and >= 0, and phases finite")
+
+    @property
+    def n_channels(self) -> int:
+        return self.gains.size
+
+    def complex_weights(self) -> np.ndarray:
+        return self.gains * np.exp(1j * self.phases)
 
 
 @dataclass(frozen=True)
@@ -106,8 +132,8 @@ class CouplingVector:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=complex)
-        if np.sum(np.abs(c) ** 2) > 1.0 + 1e-9:
-            raise ValueError("coupled power exceeds unity")
+        if not np.sum(np.abs(c) ** 2) <= 1.0 + 1e-9:
+            raise ValueError("coupled power must be finite and must not exceed unity")
         object.__setattr__(self, "c", c)
 
     @property

@@ -12,7 +12,7 @@ All operations are pure: they return new states and never mutate inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class SqueezedVacuumSpec:
 
 def vacuum(n_modes: int) -> GaussianState:
     """n-mode vacuum: zero mean, cov = identity/4."""
-    if n_modes < 1:
+    if not n_modes >= 1:
         raise ValueError("n_modes must be >= 1")
     return GaussianState(
         mean=np.zeros(2 * n_modes),
@@ -106,10 +106,15 @@ def squeezed_vacuum(spec: SqueezedVacuumSpec) -> GaussianState:
     The squeezed principal axis points along phase-space angle ``spec.theta``,
     so the minimum variance is observed at LO phase theta.
     """
-    d = np.diag([np.exp(-2 * spec.r), np.exp(2 * spec.r)]) * VACUUM_VARIANCE
-    c, s = np.cos(spec.theta), np.sin(spec.theta)
+    cov = _principal_cov(np.exp(-2 * spec.r) * VACUUM_VARIANCE, np.exp(2 * spec.r) * VACUUM_VARIANCE, spec.theta)
+    return GaussianState(mean=np.zeros(2), cov=cov)
+
+
+def _principal_cov(v_min: float, v_max: float, theta: float) -> np.ndarray:
+    """2x2 covariance with variance v_min along phase-space angle theta and v_max across it."""
+    c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]])
-    return GaussianState(mean=np.zeros(2), cov=rot @ d @ rot.T)
+    return rot @ np.diag([v_min, v_max]) @ rot.T
 
 
 def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -192,7 +197,7 @@ def quadrature_variance(state: GaussianState, weights: np.ndarray, theta: float)
     norm_sq = float(np.sum(np.abs(w) ** 2))
     if norm_sq == 0.0:
         raise ValueError("weight vector must not be zero")
-    if norm_sq > 1.0 + 1e-9:
+    if not norm_sq <= 1.0 + 1e-9:
         raise ValueError("weight vector norm must not exceed 1")
     v = quadrature_weight_vector(w, theta)
     return float(v @ state.cov @ v) + max(0.0, 1.0 - norm_sq) * VACUUM_VARIANCE
@@ -207,20 +212,13 @@ def lossy_squeezed_variances(r: float, eta: float) -> tuple[float, float]:
     return v_min, v_max
 
 
-def _wigner_cov(r: float, theta: float, eta: float) -> np.ndarray:
-    v_min, v_max = lossy_squeezed_variances(r, eta)
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    return rot @ np.diag([v_min, v_max]) @ rot.T
-
-
 def wigner_density(r: float, theta: float, eta: float, x, p):
     """Wigner function of a lossy squeezed vacuum evaluated at (x, p).
 
     A bivariate Gaussian whose principal variances follow the lossy squeezed
     variance law along axes rotated by ``theta``.  Broadcasts over x and p.
     """
-    cov = _wigner_cov(r, theta, eta)
+    cov = _principal_cov(*lossy_squeezed_variances(r, eta), theta)
     inv = np.linalg.inv(cov)
     det = np.linalg.det(cov)
     x = np.asarray(x, dtype=float)

@@ -2,29 +2,24 @@
 
 Sample streams are normalized so a vacuum input has variance equal to the
 vacuum quadrature variance (1/4).  Electronic noise enters as an additive
-Gaussian whose variance sits ``snc_db`` below the shot level; for
-variance-level predictions the same budget can be folded in as the
-efficiency factor 1 - 10^(-snc/10).
+Gaussian whose variance sits ``snc_db`` below the shot level.
 
-Randomness contract: stream ``j`` of a multichannel acquisition derives its
-generator from ``(master_seed, j)``, and the shared squeezed-source draws
-from ``(master_seed, n_channels)``, so per-channel parallelism can never
-reorder the randomness.
+Randomness contract: every sample stream comes from
+:func:`sample_pixel_streams`.  Channel ``j`` of an ``n``-channel acquisition
+draws from ``channel_rng(master_seed, j)`` and the shared squeezed source
+from ``channel_rng(master_seed, n)``, so per-channel parallelism can never
+reorder the randomness; a single channel is the case ``n = 1``.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from qpasim.gaussian import (
-    GaussianState,
-    VACUUM_VARIANCE,
-    apply_linear_network,
-)
+from qpasim.aperture import ChannelSettings
+from qpasim.gaussian import GaussianState, SqueezedVacuumSpec, VACUUM_VARIANCE, apply_linear_network, squeezed_vacuum
 
 
 @dataclass(frozen=True)
@@ -35,65 +30,25 @@ class ReceiverModel:
     antenna insertion loss (``antenna_insertion_db``, which coupling
     amplitudes carry) and the photodiode quantum efficiency
     (``pd_efficiency``); the efficiency chain de-embeds both so nothing is
-    double counted.  ``cmrr_db`` is a static leak of a common-mode classical
-    reference into the output noise.
+    double counted.
     """
 
     pd_efficiency: float = 0.70
     snc_db: float = 30.3
-    p_knee_uw: float = 12.5
-    cmrr_db: float = 90.2
     on_chip_loss_db: float = 5.62
     collimator_loss_db: float = 0.8
     antenna_insertion_db: float = 3.78
     rf_loss_db: float = 0.0
 
     def __post_init__(self):
-        for name in ("snc_db", "p_knee_uw", "cmrr_db", "on_chip_loss_db",
-                     "collimator_loss_db", "antenna_insertion_db", "rf_loss_db"):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be >= 0" % name)
+        # every check is written so that NaN fails it; an infinite snc_db means no electronic noise
+        if not self.snc_db >= 0:
+            raise ValueError("snc_db must be >= 0")
+        for name in ("on_chip_loss_db", "collimator_loss_db", "antenna_insertion_db", "rf_loss_db"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError("%s must be finite and >= 0" % name)
         if not 0.0 <= self.pd_efficiency <= 1.0:
             raise ValueError("pd_efficiency must lie in [0, 1]")
-
-    @classmethod
-    def high_bandwidth(cls, **overrides) -> "ReceiverModel":
-        """Alternative preset trading shot-noise clearance for bandwidth."""
-        params = dict(snc_db=14.0, p_knee_uw=521.0)
-        params.update(overrides)
-        return cls(**params)
-
-
-@dataclass
-class ChannelSettings:
-    """Per-channel RF gains and net phases (plus optional actuator voltages)."""
-
-    gains: np.ndarray
-    phases: np.ndarray
-    tops_voltages: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=float)
-        self.phases = np.asarray(self.phases, dtype=float)
-        if self.gains.shape != self.phases.shape or self.gains.ndim != 1:
-            raise ValueError("gains and phases must be 1-D vectors of equal length")
-        if np.any(self.gains < 0):
-            raise ValueError("gains must be >= 0")
-        if self.tops_voltages is not None:
-            self.tops_voltages = np.asarray(self.tops_voltages, dtype=float)
-            if self.tops_voltages.shape != self.gains.shape:
-                raise ValueError("tops_voltages length must match gains")
-
-    @property
-    def n_channels(self) -> int:
-        return self.gains.size
-
-    @classmethod
-    def uniform(cls, n: int) -> "ChannelSettings":
-        return cls(gains=np.ones(n), phases=np.zeros(n))
-
-    def complex_weights(self) -> np.ndarray:
-        return self.gains * np.exp(1j * self.phases)
 
 
 @dataclass(frozen=True)
@@ -105,10 +60,10 @@ class PhaseRamp:
     sampling_rate: float = 20e6
 
     def __post_init__(self):
-        if self.sampling_rate <= 2 * self.frequency_hz:
-            raise ValueError("sampling_rate must exceed twice the ramp frequency")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if not 2 * abs(self.frequency_hz) < self.sampling_rate < np.inf:
+            raise ValueError("sampling_rate must be finite and exceed twice the ramp frequency")
+        if not 0 < self.duration_s < np.inf:
+            raise ValueError("duration must be finite and positive")
 
     @property
     def n_samples(self) -> int:
@@ -134,38 +89,28 @@ class MeasurementRecord:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.sampling_rate
-
 
 def channel_rng(master_seed: int, stream: int) -> np.random.Generator:
     """Generator for stream index ``stream`` derived from the master seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(master_seed), int(stream))))
 
 
-def snc_curve(model: ReceiverModel, p_lo_uw: float) -> float:
-    """Total output noise over the electronic floor, in dB, at LO power P.
-
-    clearance(P) = 10 log10(1 + P / P_knee); the knee is the 3 dB point.
-    """
-    if p_lo_uw < 0:
-        raise ValueError("LO power must be >= 0")
-    return 10 * np.log10(1.0 + p_lo_uw / model.p_knee_uw)
+def _electronic_variance(snc_db: float) -> float:
+    """Variance of electronic noise ``snc_db`` below the shot level, in quadrature units."""
+    return 10 ** (-snc_db / 10) * VACUUM_VARIANCE
 
 
 def electronic_noise_variance(model: ReceiverModel) -> float:
     """Electronic-noise variance in shot-normalized quadrature units."""
-    return 10 ** (-model.snc_db / 10) * VACUUM_VARIANCE
+    return _electronic_variance(model.snc_db)
 
 
-def channel_effective_efficiency(c_j: complex, model: ReceiverModel, electronic: bool = False) -> float:
+def channel_effective_efficiency(c_j: complex, model: ReceiverModel) -> float:
     """Effective efficiency of one channel from its coupling amplitude.
 
     Chains |c_j|^2 (which carries geometric loss and antenna insertion loss)
     with the residual on-chip loss, photodiode efficiency, collimator and RF
-    losses.  With ``electronic=True`` the shot-noise clearance is folded in
-    as the equivalent efficiency factor 1 - 10^(-snc/10).
+    losses.
     """
     pd_db = -10 * np.log10(model.pd_efficiency) if model.pd_efficiency > 0 else np.inf
     residual_db = model.on_chip_loss_db - model.antenna_insertion_db - pd_db
@@ -175,47 +120,7 @@ def channel_effective_efficiency(c_j: complex, model: ReceiverModel, electronic:
         * 10 ** (-(residual_db + model.collimator_loss_db + model.rf_loss_db) / 10)
         * model.pd_efficiency
     )
-    if electronic:
-        eta *= 1.0 - 10 ** (-model.snc_db / 10)
     return float(eta)
-
-
-def _variance_vs_phase(eta: float, r: float, theta: np.ndarray) -> np.ndarray:
-    return (
-        eta * (np.exp(-2 * r) * np.cos(theta) ** 2 + np.exp(2 * r) * np.sin(theta) ** 2)
-        + (1.0 - eta)
-    ) * VACUUM_VARIANCE
-
-
-def homodyne_sample_stream(
-    eta: float,
-    r: float,
-    ramp: PhaseRamp,
-    n_samples: int,
-    seed: int,
-    snc_db: float = np.inf,
-    theta_offset: float = 0.0,
-    channel: int = 0,
-) -> MeasurementRecord:
-    """Simulate one channel's quadrature voltage stream under a phase ramp.
-
-    Zero-mean Gaussian samples whose variance at time t follows the lossy
-    squeezed variance law at theta(t) = 2 pi f t + theta_offset, plus
-    electronic noise 10^(-snc/10) of the vacuum variance.  Bit-exact
-    reproducible for a given seed.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    t = np.arange(n_samples) / ramp.sampling_rate
-    theta = ramp.phase(t) + theta_offset
-    var = _variance_vs_phase(eta, r, theta)
-    samples = rng.standard_normal(n_samples) * np.sqrt(var)
-    if np.isfinite(snc_db):
-        samples += rng.standard_normal(n_samples) * np.sqrt(10 ** (-snc_db / 10) * VACUUM_VARIANCE)
-    return MeasurementRecord(channel=channel, samples=samples, seed=seed, sampling_rate=ramp.sampling_rate)
 
 
 def sample_pixel_streams(
@@ -226,33 +131,41 @@ def sample_pixel_streams(
     master_seed: int,
     lo_phases: np.ndarray | None = None,
     snc_db: float = np.inf,
-    cmrr_leak_variance: float = 0.0,
 ) -> list[MeasurementRecord]:
     """Correlated per-channel streams of one squeezed beam on the array.
 
     ``couplings`` are the effective complex amplitudes of the source mode on
     each channel (chain losses folded in, sum |c|^2 <= 1); all channels share
     the same squeezed-source fluctuations, so windowed statistics show the
-    coherent modulation across the array.  ``lo_phases`` offsets each
-    channel's LO phase, which is how RF phase settings act on sample streams.
+    coherent modulation across the array.  A single channel of efficiency
+    eta is ``couplings=[sqrt(eta)]``.
+
+    ``lo_phases`` offsets each channel's LO phase, which is how RF phase
+    settings act on sample streams.  The sign is opposite to the RF phase:
+    to stream what ``combine_rf(state, settings)`` forms from the state, pass
+    ``lo_phases=-settings.phases`` and combine the records with the same
+    ``settings``.
     """
     c = np.asarray(couplings, dtype=complex)
     n_ch = c.size
-    if np.sum(np.abs(c) ** 2) > 1.0 + 1e-9:
-        raise ValueError("total coupled power exceeds the input mode")
     offsets = np.zeros(n_ch) if lo_phases is None else np.asarray(lo_phases, dtype=float)
-    t = np.arange(n_samples) / ramp.sampling_rate
-    base = ramp.phase(t)
+    if c.ndim != 1 or offsets.shape != c.shape:
+        raise ValueError("couplings and lo_phases must be 1-D vectors of equal length")
+    if not np.sum(np.abs(c) ** 2) <= 1.0 + 1e-9:
+        raise ValueError("total coupled power must be finite and must not exceed the input mode")
+    if not (snc_db >= 0 and np.all(np.isfinite(offsets))):
+        raise ValueError("snc_db must be >= 0 and lo_phases finite")
+    if not n_samples >= 1:
+        raise ValueError("n_samples must be >= 1")
+    src_cov = squeezed_vacuum(SqueezedVacuumSpec(r=r)).cov
+    elec_var = _electronic_variance(snc_db)
+    base = ramp.phase(ramp.times(n_samples))
 
     src = channel_rng(master_seed, n_ch)
-    xs = src.standard_normal(n_samples) * np.sqrt(np.exp(-2 * r) * VACUUM_VARIANCE)
-    ps = src.standard_normal(n_samples) * np.sqrt(np.exp(2 * r) * VACUUM_VARIANCE)
-    common = None
-    if cmrr_leak_variance > 0:
-        common = src.standard_normal(n_samples) * np.sqrt(cmrr_leak_variance)
+    xs = src.standard_normal(n_samples) * np.sqrt(src_cov[0, 0])
+    ps = src.standard_normal(n_samples) * np.sqrt(src_cov[1, 1])
 
     records = []
-    elec_var = 10 ** (-snc_db / 10) * VACUUM_VARIANCE if np.isfinite(snc_db) else 0.0
     for j in range(n_ch):
         rng = channel_rng(master_seed, j)
         phase = c[j] * np.exp(-1j * (base + offsets[j]))
@@ -261,8 +174,6 @@ def sample_pixel_streams(
         samples = samples + rng.standard_normal(n_samples) * np.sqrt(residual * VACUUM_VARIANCE)
         if elec_var > 0:
             samples += rng.standard_normal(n_samples) * np.sqrt(elec_var)
-        if common is not None:
-            samples += common
         records.append(
             MeasurementRecord(channel=j, samples=samples, seed=master_seed, sampling_rate=ramp.sampling_rate)
         )
@@ -278,10 +189,11 @@ def combine_rf(x, settings: ChannelSettings):
     state) or a sequence of :class:`MeasurementRecord` whose streams were
     generated with the phases applied as LO offsets (returns the combined
     record; in the sample domain phases act at generation time, so only the
-    gains enter the sum).
+    gains enter the sum).  The two agree when the streams were sampled with
+    ``lo_phases=-settings.phases``: an RF phase phi is an LO offset -phi.
     """
     norm = np.sqrt(np.sum(settings.gains**2))
-    if norm == 0:
+    if not norm > 0:
         raise ValueError("at least one gain must be nonzero")
     if isinstance(x, GaussianState):
         row = settings.complex_weights()[np.newaxis, :] / norm
@@ -309,7 +221,7 @@ def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
     """Serialize records as ``time_s,channel,voltage`` rows."""
     fh.write("time_s,channel,voltage\n")
     for rec in records:
-        for t, v in zip(rec.times, rec.samples):
+        for t, v in zip(np.arange(rec.samples.size) / rec.sampling_rate, rec.samples):
             fh.write("%.9g,%d,%.9g\n" % (t, rec.channel, v))
 
 

@@ -4,6 +4,7 @@ import pytest
 from qpasim.aperture import (
     ApertureGeometry,
     BeamSpec,
+    ChannelSettings,
     CouplingVector,
     coupling_vector,
     deembed_insertion_loss,
@@ -12,7 +13,6 @@ from qpasim.aperture import (
     geometric_loss,
     matched_settings,
 )
-from qpasim.receiver import ChannelSettings
 
 GEO = ApertureGeometry()
 BEAM = BeamSpec()
@@ -80,7 +80,7 @@ class TestGeometricLoss:
         assert eta == pytest.approx(np.abs(cp[15]) ** 2, rel=1e-12)
 
     def test_uniform_32_channels_near_reported_simulation(self, default_coupling):
-        loss = geometric_loss(default_coupling, ChannelSettings.uniform(32), GEO)
+        loss = geometric_loss(default_coupling, ChannelSettings(gains=np.ones(32), phases=np.zeros(32)), GEO)
         assert loss == pytest.approx(4.50, abs=0.6)
 
     def test_uniform_8_channels_near_reported_simulation(self, default_coupling):

@@ -1,0 +1,29 @@
+"""The modules import in one direction only: gaussian <- aperture <- receiver."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qpasim
+
+SRC = str(Path(qpasim.__file__).resolve().parents[1])
+
+
+def loaded_after_import(module):
+    code = "import sys, %s; print(' '.join(m for m in sys.modules if m.startswith('qpasim.')))" % module
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    return set(done.stdout.split())
+
+
+@pytest.mark.parametrize("module, forbidden", [
+    ("qpasim.gaussian", {"qpasim.aperture", "qpasim.receiver"}),
+    ("qpasim.aperture", {"qpasim.receiver"}),
+])
+def test_lower_layer_does_not_load_higher_ones(module, forbidden):
+    loaded = loaded_after_import(module)
+    assert module in loaded
+    assert not loaded & forbidden

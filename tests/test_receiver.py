@@ -1,0 +1,157 @@
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qpasim.aperture import ChannelSettings
+from qpasim.gaussian import SqueezedVacuumSpec, apply_loss, quadrature_variance, squeezed_vacuum, vacuum
+from qpasim.receiver import (
+    MeasurementRecord,
+    PhaseRamp,
+    ReceiverModel,
+    channel_effective_efficiency,
+    combine_rf,
+    electronic_noise_variance,
+    sample_pixel_streams,
+    write_records_binary,
+    write_records_csv,
+)
+
+FS_HZ = 20e6
+
+# Sampled-versus-oracle tolerance.  The windowed mean square of m zero-mean
+# Gaussian draws of variance V has standard error V * sqrt(2/m).  A 4 % error
+# in V must fail at Z = 4 standard errors, so m >= 2 (Z / REL_TOL)^2 draws per
+# window, and a +-HALF_WINDOW window holds 2 HALF_WINDOW / pi of a ramp over
+# [0, pi).  Averaging the variance law over the window shifts it by about
+# (2 HALF_WINDOW)^2 / 6 of its modulation depth, far below REL_TOL.
+Z = 4.0
+REL_TOL = 0.04
+HALF_WINDOW = 0.02
+M_WINDOW = int(np.ceil(2 * (Z / REL_TOL) ** 2))
+N_ORACLE = int(np.ceil(M_WINDOW * np.pi / (2 * HALF_WINDOW)))
+
+
+def ramp_over_half_turn(n_samples):
+    """Ramp whose n_samples at FS_HZ cover theta in [0, pi)."""
+    return PhaseRamp(frequency_hz=FS_HZ / (2 * n_samples), duration_s=n_samples / FS_HZ, sampling_rate=FS_HZ)
+
+
+def records(*streams, rate=FS_HZ):
+    return [MeasurementRecord(channel=j, samples=s, seed=7, sampling_rate=rate) for j, s in enumerate(streams)]
+
+
+class TestSingleChannelAgainstOracle:
+    ETA, R, SNC_DB = 0.6, 0.8, 20.0
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        ramp = ramp_over_half_turn(N_ORACLE)
+        (rec,) = sample_pixel_streams([np.sqrt(self.ETA)], self.R, ramp, N_ORACLE, 11, snc_db=self.SNC_DB)
+        return ramp.phase(ramp.times(N_ORACLE)), rec.samples
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 4, np.pi / 2])
+    def test_windowed_variance_matches_propagated_state(self, stream, theta):
+        phases, samples = stream
+        window = np.abs((phases - theta + np.pi / 2) % np.pi - np.pi / 2) < HALF_WINDOW
+        assert window.sum() >= M_WINDOW
+        state = apply_loss(squeezed_vacuum(SqueezedVacuumSpec(r=self.R)), 0, self.ETA)
+        expected = quadrature_variance(state, np.array([1.0]), theta)
+        expected += electronic_noise_variance(ReceiverModel(snc_db=self.SNC_DB))
+        se = expected * np.sqrt(2.0 / window.sum())
+        assert abs(np.mean(samples[window] ** 2) - expected) < Z * se
+
+
+class TestSamplePixelStreams:
+    C = np.array([0.3, 0.2j, -0.25])
+    RAMP = ramp_over_half_turn(4096)
+
+    def test_seeded_streams_reproducible(self):
+        a = sample_pixel_streams(self.C, 0.7, self.RAMP, 4096, 5, lo_phases=[0.1, 0.2, 0.3], snc_db=25.0)
+        b = sample_pixel_streams(self.C, 0.7, self.RAMP, 4096, 5, lo_phases=[0.1, 0.2, 0.3], snc_db=25.0)
+        c = sample_pixel_streams(self.C, 0.7, self.RAMP, 4096, 6, lo_phases=[0.1, 0.2, 0.3], snc_db=25.0)
+        for x, y, z in zip(a, b, c):
+            assert np.array_equal(x.samples, y.samples)
+            assert not np.array_equal(x.samples, z.samples)
+
+    @pytest.mark.parametrize("lo_phases", [np.zeros(2), np.zeros(4), np.zeros((3, 1))],
+                             ids=["short", "long", "2-D"])
+    def test_lo_phases_shape_must_match_couplings(self, lo_phases):
+        with pytest.raises(ValueError, match="equal length"):
+            sample_pixel_streams(self.C, 0.7, self.RAMP, 64, 5, lo_phases=lo_phases)
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            sample_pixel_streams(self.C, 0.7, self.RAMP, 0, 5)
+
+    def test_superunity_coupling_rejected(self):
+        with pytest.raises(ValueError, match="coupled power"):
+            sample_pixel_streams([0.8, 0.8], 0.7, self.RAMP, 64, 5)
+
+
+_gain = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
+_phase = st.floats(min_value=-10.0, max_value=10.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.lists(_gain, min_size=n, max_size=n).filter(any),
+                        st.lists(_phase, min_size=n, max_size=n))))
+def test_combine_rf_keeps_vacuum_at_a_quarter(gains_phases):
+    gains, phases = gains_phases
+    out = combine_rf(vacuum(len(gains)), ChannelSettings(gains=gains, phases=phases))
+    np.testing.assert_allclose(out.cov, 0.25 * np.eye(2), rtol=0, atol=1e-12)
+
+
+_db = st.floats(min_value=0.0, max_value=1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    st.builds(ReceiverModel, pd_efficiency=st.floats(min_value=0.0, max_value=1.0),
+              snc_db=st.floats(min_value=0.0), on_chip_loss_db=_db, collimator_loss_db=_db,
+              antenna_insertion_db=_db, rf_loss_db=_db),
+)
+def test_channel_effective_efficiency_within_unit_interval(c_j, model):
+    assert 0.0 <= channel_effective_efficiency(c_j, model) <= 1.0
+
+
+class TestCombineRecords:
+    def test_gains_weight_and_normalize(self):
+        out = combine_rf(records(np.ones(4), 2 * np.ones(4)), ChannelSettings(gains=[3.0, 4.0], phases=[0.0, 9.0]))
+        np.testing.assert_allclose(out.samples, (3 + 8) / 5 * np.ones(4))
+        assert out.channel == -1 and out.sampling_rate == FS_HZ
+
+    def test_wrong_record_count_rejected(self):
+        with pytest.raises(ValueError, match="one record per channel"):
+            combine_rf(records(np.ones(4), np.ones(4)), ChannelSettings(gains=np.ones(3), phases=np.zeros(3)))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            combine_rf(records(np.ones(4), np.ones(5)), ChannelSettings(gains=np.ones(2), phases=np.zeros(2)))
+
+    def test_all_zero_gains_rejected(self):
+        with pytest.raises(ValueError, match="gain"):
+            combine_rf(records(np.ones(4), np.ones(4)), ChannelSettings(gains=np.zeros(2), phases=np.zeros(2)))
+
+
+class TestWriters:
+    RECS = records(np.array([0.125, -1.5e-3, 2.0]), np.array([7.0, -3.25, 1e-9]), rate=4.0)
+
+    def test_csv_round_trip(self):
+        fh = io.StringIO()
+        write_records_csv(self.RECS, fh)
+        fh.seek(0)
+        assert fh.readline() == "time_s,channel,voltage\n"
+        table = np.loadtxt(fh, delimiter=",")
+        np.testing.assert_allclose(table[:, 0], np.tile(np.arange(3) / 4.0, 2))
+        np.testing.assert_array_equal(table[:, 1], [0, 0, 0, 1, 1, 1])
+        np.testing.assert_allclose(table[:, 2], np.concatenate([r.samples for r in self.RECS]), rtol=1e-8)
+
+    def test_binary_round_trip(self):
+        fh = io.BytesIO()
+        write_records_binary(self.RECS, fh)
+        back = np.frombuffer(fh.getvalue(), dtype="<f8")
+        np.testing.assert_array_equal(back, np.concatenate([r.samples for r in self.RECS]))
