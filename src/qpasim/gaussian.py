@@ -25,11 +25,7 @@ _PSD_TOL = 1e-9
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode."""
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for j in range(n_modes):
-        omega[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block
-    return omega
+    return np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class GaussianState:
     ------
     ValueError
         If the dimensions are inconsistent, the covariance is not symmetric,
-        or the uncertainty relation cov + (i/2) Omega [x,p] >= 0 is violated.
+        or the uncertainty relation cov + (i/4) Omega >= 0 is violated.
     """
 
     mean: np.ndarray
@@ -65,7 +61,7 @@ class GaussianState:
         cov = 0.5 * (cov + cov.T)
         n = mean.size // 2
         # uncertainty relation: cov + i*Omega/4 must be PSD ([x, p] = i/2)
-        herm = cov + 0.5j * symplectic_form(n) * (2 * VACUUM_VARIANCE) / 2
+        herm = cov + 1j * VACUUM_VARIANCE * symplectic_form(n)
         min_eig = np.linalg.eigvalsh(herm).min()
         if min_eig < -_PSD_TOL * max(1.0, np.abs(cov).max()):
             raise ValueError("covariance violates the uncertainty relation (min eig %g)" % min_eig)
@@ -178,15 +174,6 @@ def apply_linear_network(state: GaussianState, matrix: np.ndarray) -> GaussianSt
     return GaussianState(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def quadrature_weight_vector(weights: np.ndarray, theta: float) -> np.ndarray:
-    """Real 2n vector v with X_w(theta) = v . (x1, p1, ...) for mode weights w."""
-    w = np.asarray(weights, dtype=complex) * np.exp(-1j * theta)
-    v = np.empty(2 * w.size)
-    v[0::2] = w.real
-    v[1::2] = -w.imag
-    return v
-
-
 def quadrature_variance(state: GaussianState, weights: np.ndarray, theta: float) -> float:
     """Variance of the theta-quadrature of the weighted mode sum_j w_j a_j.
 
@@ -199,7 +186,7 @@ def quadrature_variance(state: GaussianState, weights: np.ndarray, theta: float)
         raise ValueError("weight vector must not be zero")
     if not norm_sq <= 1.0 + 1e-9:
         raise ValueError("weight vector norm must not exceed 1")
-    v = quadrature_weight_vector(w, theta)
+    v = _real_embedding((w * np.exp(-1j * theta))[np.newaxis, :])[0]
     return float(v @ state.cov @ v) + max(0.0, 1.0 - norm_sq) * VACUUM_VARIANCE
 
 

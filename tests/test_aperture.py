@@ -47,11 +47,11 @@ class TestCouplingVector:
         # 1 - sum |c_j|^2 = h^2 / (12 w^2): 2.083e-4 at h = 5 um, w = 100 um.
         # Both tilings span about +-302 um = +-3.0 w; the beam power outside
         # is erfc(sqrt(2) * 3.0) < 2e-9, negligible against the floor.
-        # The code sits within 5e-4 of the floor in relative terms: the
-        # O(h^4/w^4) term is -2.4e-4 (h = 5) and -3e-5 (h = 2.5) of it, the
-        # 64-node trapezoid adds about +5e-4. rel=2e-3 holds the deficit
-        # 4-8x above that gap, while a 1 % gap between cells or a missing
-        # centre antenna moves it by 1e-2 to 4e-2, far outside.
+        # The overlaps are exact, so the code departs from the floor only by
+        # the O(h^4/w^4) term: -2.4e-4 (h = 5) and -3e-5 (h = 2.5) of it.
+        # rel=2e-3 holds the deficit 8x above that gap, while a 1 % gap
+        # between cells or a missing centre antenna moves it by 1e-2 to
+        # 4e-2, far outside.
         beam = BeamSpec(diameter_um=200.0)
         for pitch, n_antennas in ((5.0, 121), (2.5, 241)):
             geo = ApertureGeometry(
@@ -74,10 +74,32 @@ class TestCouplingVector:
         assert np.all(c.c == 0)
 
     def test_quadrature_resolution_converged(self):
-        # doubling the quadrature resolution must not move the result
-        c1 = coupling_vector(GEO, BEAM, nodes_per_segment=64).c
-        c2 = coupling_vector(GEO, BEAM, nodes_per_segment=128).c
-        assert np.max(np.abs(c1 - c2)) < 1e-6
+        # Independent reference: a composite trapezoid of the unit-norm beam
+        # amplitude over every strip. Its error falls as h^2, so doubling the
+        # nodes must cut the distance to the closed form by 4, and the closed
+        # form must sit within 1e-8 of the finer reference (the worst case,
+        # a narrow beam on the top-hat profile, is 2e-9 off at 2048 nodes).
+        def reference(geo, beam, nodes):
+            segs = geo.mode_segments(geo.antenna_centers_um)
+            x = segs[..., :1] + (segs[..., 1:] - segs[..., :1]) * np.linspace(0.0, 1.0, nodes)
+            w = beam.waist_um
+            u = (2 / np.pi) ** 0.25 / np.sqrt(w) * np.exp(-((x - beam.center_offset_um) ** 2) / w**2)
+            width = np.sum(segs[..., 1] - segs[..., 0], axis=-1)
+            overlap = np.trapezoid(u, x, axis=-1).sum(axis=-1) / np.sqrt(width)
+            theta = beam.incidence_angle_deg
+            amp = np.sqrt(element_pattern(geo, theta)) * 10 ** (-geo.insertion_loss_db / 20)
+            tilt = np.exp(1j * geo.wavenumber * geo.antenna_centers_um * np.sin(np.deg2rad(theta)))
+            return amp * overlap * tilt
+
+        narrow = BeamSpec(diameter_um=80.0, center_offset_um=100.0, incidence_angle_deg=1.0)
+        for profile in ("comb", "tophat"):
+            geo = ApertureGeometry(mode_profile=profile)
+            for beam in (BEAM, narrow):
+                c = coupling_vector(geo, beam).c
+                err_coarse = np.max(np.abs(c - reference(geo, beam, 1024)))
+                err_fine = np.max(np.abs(c - reference(geo, beam, 2048)))
+                assert err_fine < 1e-8
+                assert err_coarse / err_fine == pytest.approx(4.0, rel=0.01)
 
     def test_superunity_coupling_rejected(self):
         with pytest.raises(ValueError):

@@ -265,8 +265,10 @@ class TestStateValidation:
             GaussianState(mean=np.zeros(2), cov=cov)
 
     def test_unphysical_cov_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianState(mean=np.zeros(2), cov=0.01 * np.eye(2))
+        # each is below vacuum noise in both quadratures (det < 1/16)
+        for cov in (0.01 * np.eye(2), 0.2 * np.eye(2), np.diag([0.1, 0.2])):
+            with pytest.raises(ValueError):
+                GaussianState(mean=np.zeros(2), cov=cov)
 
     def test_symplectic_form_blocks(self):
         omega = symplectic_form(2)

@@ -1,4 +1,4 @@
-"""The modules import in one direction only: gaussian <- aperture <- receiver."""
+"""The modules import in one direction only, gaussian <- aperture <- receiver, and none loads scipy."""
 
 import os
 import subprocess
@@ -13,7 +13,7 @@ SRC = str(Path(qpasim.__file__).resolve().parents[1])
 
 
 def loaded_after_import(module):
-    code = "import sys, %s; print(' '.join(m for m in sys.modules if m.startswith('qpasim.')))" % module
+    code = "import sys, %s; print(' '.join(sys.modules))" % module
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=SRC))
     return set(done.stdout.split())
@@ -27,3 +27,11 @@ def test_lower_layer_does_not_load_higher_ones(module, forbidden):
     loaded = loaded_after_import(module)
     assert module in loaded
     assert not loaded & forbidden
+
+
+@pytest.mark.parametrize("module", ["qpasim", "qpasim.aperture", "qpasim.receiver"])
+def test_import_loads_no_scipy(module):
+    # importing scipy costs several times the benchmark's whole setup time
+    loaded = loaded_after_import(module)
+    assert module in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
