@@ -6,9 +6,9 @@ Gaussian whose variance sits ``snc_db`` below the shot level.
 
 Randomness contract: every sample stream comes from
 :func:`sample_pixel_streams`.  Channel ``j`` of an ``n``-channel acquisition
-draws from ``channel_rng(master_seed, j)`` and the shared squeezed source
-from ``channel_rng(master_seed, n)``, so per-channel parallelism can never
-reorder the randomness; a single channel is the case ``n = 1``.
+draws one stream from ``channel_rng(master_seed, j)`` and the shared squeezed
+source draws x, then p, from ``channel_rng(master_seed, n)``, so per-channel
+parallelism can never reorder the randomness; a single channel is ``n = 1``.
 """
 
 from __future__ import annotations
@@ -65,13 +65,8 @@ class PhaseRamp:
         if not 0 < self.duration_s < np.inf:
             raise ValueError("duration must be finite and positive")
 
-    @property
-    def n_samples(self) -> int:
-        return int(round(self.duration_s * self.sampling_rate))
-
-    def times(self, n_samples: int | None = None) -> np.ndarray:
-        n = self.n_samples if n_samples is None else n_samples
-        return np.arange(n) / self.sampling_rate
+    def times(self, n_samples: int) -> np.ndarray:
+        return np.arange(n_samples) / self.sampling_rate
 
     def phase(self, t: np.ndarray) -> np.ndarray:
         return 2 * np.pi * self.frequency_hz * np.asarray(t)
@@ -108,19 +103,14 @@ def electronic_noise_variance(model: ReceiverModel) -> float:
 def channel_effective_efficiency(c_j: complex, model: ReceiverModel) -> float:
     """Effective efficiency of one channel from its coupling amplitude.
 
-    Chains |c_j|^2 (which carries geometric loss and antenna insertion loss)
-    with the residual on-chip loss, photodiode efficiency, collimator and RF
-    losses.
+    Chains |c_j|^2 (which carries geometric and antenna insertion loss) with
+    the on-chip loss beyond the antenna insertion, never less than the
+    photodiode's own loss, and the collimator and RF losses.
     """
     pd_db = -10 * np.log10(model.pd_efficiency) if model.pd_efficiency > 0 else np.inf
-    residual_db = model.on_chip_loss_db - model.antenna_insertion_db - pd_db
-    residual_db = max(residual_db, 0.0)
-    eta = (
-        np.abs(c_j) ** 2
-        * 10 ** (-(residual_db + model.collimator_loss_db + model.rf_loss_db) / 10)
-        * model.pd_efficiency
-    )
-    return float(eta)
+    loss_db = max(model.on_chip_loss_db - model.antenna_insertion_db, pd_db)
+    loss_db += model.collimator_loss_db + model.rf_loss_db
+    return float(np.abs(c_j) ** 2 * np.power(10.0, -loss_db / 10))
 
 
 def sample_pixel_streams(
@@ -135,10 +125,14 @@ def sample_pixel_streams(
     """Correlated per-channel streams of one squeezed beam on the array.
 
     ``couplings`` are the effective complex amplitudes of the source mode on
-    each channel (chain losses folded in, sum |c|^2 <= 1); all channels share
-    the same squeezed-source fluctuations, so windowed statistics show the
-    coherent modulation across the array.  A single channel of efficiency
-    eta is ``couplings=[sqrt(eta)]``.
+    each channel (chain losses folded in, sum |c|^2 <= 1).  The streams have
+    the covariance of :func:`apply_linear_network` with matrix ``c`` on the
+    squeezed source plus vacuum, read at each channel's LO phase, plus
+    electronic noise e.  With d = c e^{-i lo_phases}, channel j is the shared
+    source term Re(d_j) u + Im(d_j) v, where (u, v) are the source quadratures
+    at the ramp phase, plus noise of covariance (1/4 + e) I - Re(d d^dag)/4:
+    the vacuum entering channel j is correlated with channel k's.  A single
+    channel of efficiency eta is ``couplings=[sqrt(eta)]``.
 
     ``lo_phases`` offsets each channel's LO phase, which is how RF phase
     settings act on sample streams.  The sign is opposite to the RF phase:
@@ -158,26 +152,32 @@ def sample_pixel_streams(
     if not n_samples >= 1:
         raise ValueError("n_samples must be >= 1")
     src_cov = squeezed_vacuum(SqueezedVacuumSpec(r=r)).cov
-    elec_var = _electronic_variance(snc_db)
-    base = ramp.phase(ramp.times(n_samples))
-
+    sigma = np.sqrt(VACUUM_VARIANCE + _electronic_variance(snc_db))
+    d = c * np.exp(-1j * offsets)
+    # the noise covariance is sigma^2 (I - b b^T); its square root I - b K b^T is finite at lambda = 0 and 1
+    b = np.stack([d.real, d.imag], axis=1) * (0.5 / sigma)
+    lam, q = np.linalg.eigh(b.T @ b)
+    k = (q / (1.0 + np.sqrt(np.clip(1.0 - lam, 0.0, None)))) @ q.T
     src = channel_rng(master_seed, n_ch)
     xs = src.standard_normal(n_samples) * np.sqrt(src_cov[0, 0])
     ps = src.standard_normal(n_samples) * np.sqrt(src_cov[1, 1])
-
-    records = []
-    for j in range(n_ch):
-        rng = channel_rng(master_seed, j)
-        phase = c[j] * np.exp(-1j * (base + offsets[j]))
-        samples = phase.real * xs - phase.imag * ps
-        residual = max(0.0, 1.0 - np.abs(c[j]) ** 2)
-        samples = samples + rng.standard_normal(n_samples) * np.sqrt(residual * VACUUM_VARIANCE)
-        if elec_var > 0:
-            samples += rng.standard_normal(n_samples) * np.sqrt(elec_var)
-        records.append(
-            MeasurementRecord(channel=j, samples=samples, seed=master_seed, sampling_rate=ramp.sampling_rate)
-        )
-    return records
+    streams = [channel_rng(master_seed, j).standard_normal(n_samples) for j in range(n_ch)]
+    # b^T eps, accumulated in channel order so the sum never depends on a BLAS kernel
+    proj_x, proj_p, tmp = np.zeros(n_samples), np.zeros(n_samples), np.empty(n_samples)
+    for j, eps in enumerate(streams):
+        proj_x += np.multiply(eps, b[j, 0], out=tmp)
+        proj_p += np.multiply(eps, b[j, 1], out=tmp)
+    base = ramp.phase(ramp.times(n_samples))
+    cos, sin = np.cos(base), np.sin(base)
+    # sigma b_j = d_j / 2, so channel j's noise projection on b joins its source term
+    u = cos * xs + sin * ps - 0.5 * (k[0, 0] * proj_x + k[0, 1] * proj_p)
+    v = sin * xs - cos * ps - 0.5 * (k[1, 0] * proj_x + k[1, 1] * proj_p)
+    for j, samples in enumerate(streams):
+        samples *= sigma
+        samples += np.multiply(u, d[j].real, out=tmp)
+        samples += np.multiply(v, d[j].imag, out=tmp)
+    return [MeasurementRecord(channel=j, samples=samples, seed=master_seed, sampling_rate=ramp.sampling_rate)
+            for j, samples in enumerate(streams)]
 
 
 def combine_rf(x, settings: ChannelSettings):
@@ -228,4 +228,4 @@ def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
 def write_records_binary(records: Iterable[MeasurementRecord], fh) -> None:
     """Dump sample streams as little-endian float64, channel-major order."""
     for rec in records:
-        fh.write(rec.samples.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(rec.samples, dtype="<f8"))

@@ -5,12 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpasim.aperture import ChannelSettings
-from qpasim.gaussian import SqueezedVacuumSpec, apply_loss, quadrature_variance, squeezed_vacuum, vacuum
+from qpasim.gaussian import (
+    VACUUM_VARIANCE,
+    GaussianState,
+    SqueezedVacuumSpec,
+    apply_linear_network,
+    apply_loss,
+    quadrature_variance,
+    squeezed_vacuum,
+    vacuum,
+)
 from qpasim.receiver import (
     MeasurementRecord,
     PhaseRamp,
     ReceiverModel,
     channel_effective_efficiency,
+    channel_rng,
     combine_rf,
     electronic_noise_variance,
     sample_pixel_streams,
@@ -38,6 +48,21 @@ def ramp_over_half_turn(n_samples):
     return PhaseRamp(frequency_hz=FS_HZ / (2 * n_samples), duration_s=n_samples / FS_HZ, sampling_rate=FS_HZ)
 
 
+def held_ramp(n_samples):
+    """Ramp at 0 Hz: every sample sees LO phase 0 plus its channel's offset."""
+    return PhaseRamp(frequency_hz=0.0, duration_s=n_samples / FS_HZ, sampling_rate=FS_HZ)
+
+
+def source_on_array(r, c):
+    """The oracle: squeezed source on mode 0 plus vacuum, through the network whose first column is c."""
+    n = len(c)
+    cov = VACUUM_VARIANCE * np.eye(2 * n)
+    cov[:2, :2] = squeezed_vacuum(SqueezedVacuumSpec(r=r)).cov
+    t = np.zeros((n, n), dtype=complex)
+    t[:, 0] = c
+    return apply_linear_network(GaussianState(mean=np.zeros(2 * n), cov=cov), t)
+
+
 def records(*streams, rate=FS_HZ):
     return [MeasurementRecord(channel=j, samples=s, seed=7, sampling_rate=rate) for j, s in enumerate(streams)]
 
@@ -61,6 +86,54 @@ class TestSingleChannelAgainstOracle:
         expected += electronic_noise_variance(ReceiverModel(snc_db=self.SNC_DB))
         se = expected * np.sqrt(2.0 / window.sum())
         assert abs(np.mean(samples[window] ** 2) - expected) < Z * se
+
+
+class TestArrayAgainstOracle:
+    """The sampled channels carry the oracle's covariance, vacuum correlations between channels included."""
+
+    DELTA = 0.01  # the smallest covariance error, in quadrature-variance units, the element test must catch
+
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_combined_record_matches_combined_state(self, r):
+        # 32 channels at c_j = 0.15: independent per-channel vacuum would give 0.423 (r = 0) and 0.269
+        # (r = 1) where the oracle gives 0.25 and 0.0944, far beyond the REL_TOL the record size resolves
+        c = np.full(32, 0.15)
+        settings = ChannelSettings(gains=np.ones(32), phases=np.zeros(32))
+        streams = sample_pixel_streams(c, r, held_ramp(M_WINDOW), M_WINDOW, 13, lo_phases=-settings.phases)
+        combined = combine_rf(streams, settings).samples
+        expected = combine_rf(source_on_array(r, c), settings).cov[0, 0]
+        assert abs(np.mean(combined**2) - expected) < Z * expected * np.sqrt(2.0 / M_WINDOW)
+
+    def test_channel_covariance_matches_propagated_state(self):
+        c = np.array([0.5, 0.4j, -0.35 + 0.3j, 0.45])
+        offsets = np.array([0.3, -1.1, 2.0, 0.0])
+        r, snc_db = 0.8, 10.0
+        # channel j reads X(offset_j) = cos x_j + sin p_j of the propagated state, plus electronic noise e
+        j = np.arange(c.size)
+        h = np.zeros((c.size, 2 * c.size))
+        h[j, 2 * j], h[j, 2 * j + 1] = np.cos(offsets), np.sin(offsets)
+        oracle = h @ source_on_array(r, c).cov @ h.T
+        oracle += electronic_noise_variance(ReceiverModel(snc_db=snc_db)) * np.eye(c.size)
+        # mean(x_j x_k) over N zero-mean Gaussian samples has standard error sqrt((C_jj C_kk + C_jk^2) / N);
+        # an error of DELTA in any element must sit 2 Z standard errors out
+        spread = np.outer(np.diag(oracle), np.diag(oracle)) + oracle**2
+        n = int(np.ceil((2 * Z / self.DELTA) ** 2 * spread.max()))
+        streams = sample_pixel_streams(c, r, held_ramp(n), n, 17, lo_phases=offsets, snc_db=snc_db)
+        x = np.array([rec.samples for rec in streams])
+        assert np.all(np.abs(x @ x.T / n - oracle) < Z * np.sqrt(spread / n))
+
+    @pytest.mark.parametrize("c, theta", [([0.6 + 0.8j], 0.0), ([1.0], np.pi / 2), ([1j], 0.3)])
+    def test_lossless_channel_streams_the_source(self, c, theta):
+        (rec,) = sample_pixel_streams(c, 1.0, held_ramp(M_WINDOW), M_WINDOW, 19, lo_phases=[theta])
+        expected = quadrature_variance(squeezed_vacuum(SqueezedVacuumSpec(r=1.0)), np.asarray(c), theta)
+        assert np.all(np.isfinite(rec.samples))
+        assert abs(np.mean(rec.samples**2) - expected) < Z * expected * np.sqrt(2.0 / M_WINDOW)
+
+    def test_uncoupled_channels_stream_their_own_vacuum(self):
+        # c = 0: channel j is vacuum only, the one stream it draws from channel_rng(seed, j)
+        streams = sample_pixel_streams(np.zeros(3), 1.0, held_ramp(4096), 4096, 23, lo_phases=[0.0, 1.0, 2.0])
+        for j, rec in enumerate(streams):
+            np.testing.assert_array_equal(rec.samples, 0.5 * channel_rng(23, j).standard_normal(4096))
 
 
 class TestSamplePixelStreams:
@@ -118,6 +191,15 @@ def test_channel_effective_efficiency_within_unit_interval(c_j, model):
     assert 0.0 <= channel_effective_efficiency(c_j, model) <= 1.0
 
 
+@pytest.mark.parametrize("model, expected", [
+    (ReceiverModel(), 10 ** (-2.64 / 10)),  # on-chip loss beyond the antenna insertion: 5.62 - 3.78 dB
+    (ReceiverModel(pd_efficiency=0.5), 0.5 * 10 ** -0.08),  # the photodiode's 3.01 dB exceeds it
+], ids=["on-chip-limited", "pd-limited"])
+def test_channel_effective_efficiency_pinned(model, expected):
+    assert expected == pytest.approx({0.7: 0.5445027, 0.5: 0.4158819}[model.pd_efficiency], abs=1e-7)
+    assert channel_effective_efficiency(1.0, model) == pytest.approx(expected, rel=1e-12)
+
+
 class TestCombineRecords:
     def test_gains_weight_and_normalize(self):
         out = combine_rf(records(np.ones(4), 2 * np.ones(4)), ChannelSettings(gains=[3.0, 4.0], phases=[0.0, 9.0]))
@@ -151,7 +233,9 @@ class TestWriters:
         np.testing.assert_allclose(table[:, 2], np.concatenate([r.samples for r in self.RECS]), rtol=1e-8)
 
     def test_binary_round_trip(self):
+        recs = self.RECS + records(np.arange(8.0)[::2], rate=4.0)
+        assert not recs[-1].samples.flags.c_contiguous
         fh = io.BytesIO()
-        write_records_binary(self.RECS, fh)
+        write_records_binary(recs, fh)
         back = np.frombuffer(fh.getvalue(), dtype="<f8")
-        np.testing.assert_array_equal(back, np.concatenate([r.samples for r in self.RECS]))
+        np.testing.assert_array_equal(back, np.concatenate([r.samples for r in recs]))

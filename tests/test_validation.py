@@ -2,12 +2,15 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from qpasim.aperture import ApertureGeometry, BeamSpec, ChannelSettings, CouplingVector
+from qpasim.gaussian import GaussianState, apply_linear_network, quadrature_variance, vacuum
 from qpasim.receiver import PhaseRamp, ReceiverModel, sample_pixel_streams
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def _nan_field_cases():
@@ -37,3 +40,14 @@ def test_sample_pixel_streams_rejects_nan(kwargs):
     with pytest.raises(ValueError):
         sample_pixel_streams(**dict(args, **kwargs))
 
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GaussianState(mean=[NAN, 0.0], cov=0.25 * np.eye(2)),
+    lambda: GaussianState(mean=[0.0, 0.0], cov=[[INF, 0.0], [0.0, 0.25]]),
+    lambda: apply_linear_network(vacuum(2), [[NAN, 0.1]]),
+    lambda: quadrature_variance(vacuum(1), [1.0], NAN),
+], ids=["GaussianState.mean", "GaussianState.cov", "apply_linear_network", "quadrature_variance"])
+def test_non_finite_state_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
