@@ -27,7 +27,6 @@ class ApertureGeometry:
     n_antennas: int = 32
     pitch_um: float = 17.5
     antenna_width_um: float = 16.7
-    antenna_length_um: float = 597.0
     wavelength_nm: float = 1550.0
     insertion_loss_db: float = 3.78
     element_pattern_fwhm_deg: float = 2.7
@@ -39,7 +38,7 @@ class ApertureGeometry:
         # every check is written so that NaN fails it
         if not self.n_antennas >= 1:
             raise ValueError("n_antennas must be >= 1")
-        for name in ("pitch_um", "antenna_width_um", "antenna_length_um", "wavelength_nm",
+        for name in ("pitch_um", "antenna_width_um", "wavelength_nm",
                      "element_pattern_fwhm_deg", "waveguide_width_um"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError("%s must be finite and positive" % name)
@@ -142,10 +141,6 @@ class CouplingVector:
             raise ValueError("coupled power must be finite and must not exceed unity")
         object.__setattr__(self, "c", c)
 
-    @property
-    def n_antennas(self) -> int:
-        return self.c.size
-
     def total_power(self) -> float:
         return float(np.sum(np.abs(self.c) ** 2))
 
@@ -214,7 +209,7 @@ def geometric_efficiency(c: CouplingVector, weights: ChannelSettings, geometry: 
     insertion loss de-embedded from c (geometric and insertion losses are
     budgeted separately).
     """
-    if weights.n_channels != c.n_antennas:
+    if weights.n_channels != c.c.size:
         raise ValueError("weights length must match the coupling vector")
     if not np.any(weights.gains > 0):
         raise ValueError("at least one gain must be nonzero")
@@ -236,5 +231,5 @@ def matched_settings(c: CouplingVector, geometry: ApertureGeometry, amplitude_we
     uniform.
     """
     cp = deembed_insertion_loss(c, geometry)
-    gains = np.abs(cp) if amplitude_weights else np.ones(c.n_antennas)
+    gains = np.abs(cp) if amplitude_weights else np.ones(c.c.size)
     return ChannelSettings(gains=gains, phases=np.where(cp != 0, -np.angle(cp), 0.0))

@@ -7,6 +7,12 @@ X(theta) = cos(theta) x + sin(theta) p, so a lossy squeezed vacuum obeys
     Var(X(theta)) = eta/4 (e^{-2r} cos^2 th + e^{+2r} sin^2 th) + (1 - eta)/4
 
 which every module in this package treats as the closed-form reference.
+Every passive map (network, pure loss, RF combiner) is one law: a complex
+m x n matrix T with singular values <= 1 acts through its real embedding S, and
+vacuum fills what T does not pass on (Weedbrook et al., RMP 84, 621 (2012)):
+
+    mean' = S mean,    cov' = I/4 + S (cov - I/4) S^T
+
 All operations are pure: they return new states and never mutate inputs.
 """
 
@@ -25,7 +31,8 @@ _PSD_TOL = 1e-9
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode."""
-    return np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
+    upper = np.diag(np.resize([1.0, 0.0], 2 * n_modes - 1), 1)
+    return upper - upper.T
 
 
 @dataclass(frozen=True)
@@ -84,8 +91,8 @@ class SqueezedVacuumSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.r) or self.r < 0:
-            raise ValueError("squeezing parameter r must be finite and >= 0")
+        if not (0 <= self.r < np.inf and np.isfinite(self.theta)):
+            raise ValueError("squeezing parameter r must be finite and >= 0, and theta finite")
         object.__setattr__(self, "theta", float(self.theta) % np.pi)
 
 
@@ -117,22 +124,14 @@ def _principal_cov(v_min: float, v_max: float, theta: float) -> np.ndarray:
 
 
 def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
-    """Pure-loss channel of transmission eta on one mode.
-
-    The mode's covariance block becomes eta*block + (1-eta)/4 * I, its mean
-    scales by sqrt(eta) and all cross covariances scale by sqrt(eta).
-    """
+    """Pure loss of transmission eta on one mode: the module law at T = diag(.., sqrt(eta), ..)."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1], got %r" % (eta,))
     if not 0 <= mode < state.n_modes:
         raise ValueError("mode index %d out of range" % mode)
-    sl = slice(2 * mode, 2 * mode + 2)
-    scale = np.ones(2 * state.n_modes)
-    scale[sl] = np.sqrt(eta)
-    cov = state.cov * np.outer(scale, scale)
-    cov[sl, sl] += (1.0 - eta) * VACUUM_VARIANCE * np.eye(2)
-    mean = state.mean * scale
-    return GaussianState(mean=mean, cov=cov)
+    scale = np.ones(state.n_modes)
+    scale[mode] = np.sqrt(eta)
+    return apply_linear_network(state, np.diag(scale))
 
 
 def _real_embedding(matrix: np.ndarray) -> np.ndarray:
@@ -147,7 +146,7 @@ def _real_embedding(matrix: np.ndarray) -> np.ndarray:
 
 
 def apply_linear_network(state: GaussianState, matrix: np.ndarray) -> GaussianState:
-    """Transform mode operators by a (sub-)unitary complex matrix.
+    """Transform mode operators by a (sub-)unitary complex matrix (the module law).
 
     ``matrix`` may be rectangular (m x n with m <= n), in which case the
     output state has m modes.  Rows may have norm below one; the norm deficit
@@ -157,8 +156,8 @@ def apply_linear_network(state: GaussianState, matrix: np.ndarray) -> GaussianSt
     Raises
     ------
     ValueError
-        On dimension mismatch, or if the matrix amplifies (I - T T^dag not
-        positive semidefinite), which no passive network can do.
+        On dimension mismatch, a non-finite entry, or if the matrix amplifies
+        (largest singular value above 1), which no passive network can do.
     """
     t = np.atleast_2d(np.asarray(matrix, dtype=complex))
     m, n = t.shape
@@ -166,23 +165,21 @@ def apply_linear_network(state: GaussianState, matrix: np.ndarray) -> GaussianSt
         raise ValueError("matrix has %d columns but state has %d modes" % (n, state.n_modes))
     if m > n:
         raise ValueError("matrix cannot output more modes than it consumes")
-    deficit = np.eye(m) - t @ t.conj().T
-    evals, evecs = np.linalg.eigh(0.5 * (deficit + deficit.conj().T))
-    if evals.min() < -1e-9:
-        raise ValueError("matrix is super-unitary (row norms must not exceed 1)")
-    deficit = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
+    # the finite check runs first: an SVD of a non-finite matrix does not converge
+    if not np.all(np.isfinite(t)) or np.linalg.svd(t, compute_uv=False)[0] ** 2 > 1.0 + 1e-9:
+        raise ValueError("matrix must be finite and must not amplify (largest singular value <= 1)")
     s = _real_embedding(t)
-    cov = s @ state.cov @ s.T + VACUUM_VARIANCE * _real_embedding(deficit)
-    mean = s @ state.mean
-    return GaussianState(mean=mean, cov=0.5 * (cov + cov.T))
+    excess = state.cov - VACUUM_VARIANCE * np.eye(2 * n)
+    cov = VACUUM_VARIANCE * np.eye(2 * m) + s @ excess @ s.T
+    return GaussianState(mean=s @ state.mean, cov=cov)
 
 
 def quadrature_variance(state: GaussianState, weights: np.ndarray, theta: float) -> float:
     """Variance of the theta-quadrature of the weighted mode sum_j w_j a_j.
 
-    ``weights`` must have norm <= 1; any norm deficit is treated as vacuum
-    admixture (:func:`apply_linear_network`), so the result is the physical
-    homodyne variance.
+    ``weights`` must have norm <= 1; any norm deficit is admixed vacuum (the
+    module law, applied by :func:`apply_linear_network`), so the result is the
+    physical homodyne variance.
     """
     w = np.asarray(weights, dtype=complex)
     if np.sum(np.abs(w) ** 2) == 0.0:
@@ -192,6 +189,7 @@ def quadrature_variance(state: GaussianState, weights: np.ndarray, theta: float)
 
 def lossy_squeezed_variances(r: float, eta: float) -> tuple[float, float]:
     """Principal (min, max) variances of a squeezed vacuum seen at efficiency eta."""
+    SqueezedVacuumSpec(r)
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     v_min = (eta * np.exp(-2 * r) + 1.0 - eta) * VACUUM_VARIANCE
@@ -205,6 +203,7 @@ def wigner_density(r: float, theta: float, eta: float, x, p):
     A bivariate Gaussian whose principal variances follow the lossy squeezed
     variance law along axes rotated by ``theta``.  Broadcasts over x and p.
     """
+    SqueezedVacuumSpec(r, theta)
     cov = _principal_cov(*lossy_squeezed_variances(r, eta), theta)
     inv = np.linalg.inv(cov)
     det = np.linalg.det(cov)
@@ -220,6 +219,7 @@ def wigner_halfmax_axes(r: float, theta: float, eta: float) -> tuple[float, floa
     Returns (minor semi-axis, major semi-axis, orientation) where the minor
     axis points along phase-space angle ``theta``.
     """
+    SqueezedVacuumSpec(r, theta)
     v_min, v_max = lossy_squeezed_variances(r, eta)
     scale = np.sqrt(2 * np.log(2))
     return scale * np.sqrt(v_min), scale * np.sqrt(v_max), theta

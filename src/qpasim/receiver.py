@@ -74,12 +74,13 @@ class PhaseRamp:
 
 @dataclass
 class MeasurementRecord:
-    """Seeded, time-stamped quadrature voltage samples of one channel."""
+    """Seeded, time-stamped quadrature voltage samples of one channel, read at LO offset ``lo_phase``."""
 
     channel: int
     samples: np.ndarray
     seed: int
     sampling_rate: float
+    lo_phase: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -176,8 +177,8 @@ def sample_pixel_streams(
         samples *= sigma
         samples += np.multiply(u, d[j].real, out=tmp)
         samples += np.multiply(v, d[j].imag, out=tmp)
-    return [MeasurementRecord(channel=j, samples=samples, seed=master_seed, sampling_rate=ramp.sampling_rate)
-            for j, samples in enumerate(streams)]
+    return [MeasurementRecord(channel=j, samples=samples, seed=master_seed, sampling_rate=ramp.sampling_rate,
+                              lo_phase=float(offsets[j])) for j, samples in enumerate(streams)]
 
 
 def combine_rf(x, settings: ChannelSettings):
@@ -189,8 +190,8 @@ def combine_rf(x, settings: ChannelSettings):
     state) or a sequence of :class:`MeasurementRecord` whose streams were
     generated with the phases applied as LO offsets (returns the combined
     record; in the sample domain phases act at generation time, so only the
-    gains enter the sum).  The two agree when the streams were sampled with
-    ``lo_phases=-settings.phases``: an RF phase phi is an LO offset -phi.
+    gains enter the sum).  Records of nonzero gain must be sampled with
+    ``lo_phases=-settings.phases`` (mod 2 pi): an RF phase phi is an LO offset -phi.
     """
     norm = np.sqrt(np.sum(settings.gains**2))
     if not norm > 0:
@@ -205,6 +206,9 @@ def combine_rf(x, settings: ChannelSettings):
     lengths = {rec.samples.size for rec in records}
     if len(rates) != 1 or len(lengths) != 1:
         raise ValueError("records must share sampling rate and length")
+    offset_error = np.remainder([rec.lo_phase for rec in records] + settings.phases + np.pi, 2 * np.pi) - np.pi
+    if not np.all((settings.gains == 0) | (np.abs(offset_error) <= 1e-12)):
+        raise ValueError("records must be sampled at LO offsets -settings.phases")
     combined = np.zeros(lengths.pop())
     for g, rec in zip(settings.gains, records):
         if g != 0:

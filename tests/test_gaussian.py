@@ -192,6 +192,32 @@ class TestLinearNetwork:
         with pytest.raises(ValueError):
             apply_linear_network(vacuum(2), np.full((2, 2), 0.9, dtype=complex))
 
+    @pytest.mark.parametrize("gain_sq, ok", [(1 + 0.5e-9, True), (1 + 2e-9, False)])
+    def test_passivity_tolerance(self, gain_sq, ok):
+        # the largest singular value may exceed 1 by rounding, never by 1e-9 in power
+        t = np.sqrt(gain_sq) * np.eye(2)
+        if ok:
+            apply_linear_network(vacuum(2), t)
+        else:
+            with pytest.raises(ValueError):
+                apply_linear_network(vacuum(2), t)
+
+    def test_losses_on_every_mode_are_one_diagonal_network(self):
+        # the oracle chain: a squeezed source spread over 32 modes, then the same loss on each mode
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        network = np.zeros((32, 32), dtype=complex)
+        network[:, 0] = 0.9 * c / np.linalg.norm(c)
+        cov = 0.25 * np.eye(64)
+        cov[:2, :2] = squeezed_vacuum(SqueezedVacuumSpec(r=1.0, theta=0.3)).cov
+        state = apply_linear_network(GaussianState(mean=np.zeros(64), cov=cov), network)
+        kappa = 0.5445
+        one_by_one = state
+        for j in range(32):
+            one_by_one = apply_loss(one_by_one, j, kappa)
+        at_once = apply_linear_network(state, np.sqrt(kappa) * np.eye(32))
+        assert np.max(np.abs(one_by_one.cov - at_once.cov)) <= 1e-15
+
 
 class TestQuadratureVariance:
     def test_vacuum_any_weights(self):

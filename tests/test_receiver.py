@@ -63,8 +63,10 @@ def source_on_array(r, c):
     return apply_linear_network(GaussianState(mean=np.zeros(2 * n), cov=cov), t)
 
 
-def records(*streams, rate=FS_HZ):
-    return [MeasurementRecord(channel=j, samples=s, seed=7, sampling_rate=rate) for j, s in enumerate(streams)]
+def records(*streams, rate=FS_HZ, lo_phases=None):
+    lo_phases = np.zeros(len(streams)) if lo_phases is None else lo_phases
+    return [MeasurementRecord(channel=j, samples=s, seed=7, sampling_rate=rate, lo_phase=lo)
+            for j, (s, lo) in enumerate(zip(streams, lo_phases))]
 
 
 class TestSingleChannelAgainstOracle:
@@ -202,7 +204,9 @@ def test_channel_effective_efficiency_pinned(model, expected):
 
 class TestCombineRecords:
     def test_gains_weight_and_normalize(self):
-        out = combine_rf(records(np.ones(4), 2 * np.ones(4)), ChannelSettings(gains=[3.0, 4.0], phases=[0.0, 9.0]))
+        # the phases act as LO offsets when sampling, so only the gains enter the sum
+        recs = records(np.ones(4), 2 * np.ones(4), lo_phases=[0.0, -9.0])
+        out = combine_rf(recs, ChannelSettings(gains=[3.0, 4.0], phases=[0.0, 9.0]))
         np.testing.assert_allclose(out.samples, (3 + 8) / 5 * np.ones(4))
         assert out.channel == -1 and out.sampling_rate == FS_HZ
 
@@ -213,6 +217,29 @@ class TestCombineRecords:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="length"):
             combine_rf(records(np.ones(4), np.ones(5)), ChannelSettings(gains=np.ones(2), phases=np.zeros(2)))
+
+    def test_records_carry_their_lo_offsets(self):
+        settings = ChannelSettings(gains=[1.0, 0.5, 2.0], phases=[0.4, -2.0, 7.0])
+        streams = sample_pixel_streams([0.3, 0.2j, -0.25], 0.7, held_ramp(64), 64, 5, lo_phases=-settings.phases)
+        assert [rec.lo_phase for rec in streams] == list(-settings.phases)
+        # the check changes nothing in the sum, which stays the plain gain-weighted one
+        expected = sum(g * rec.samples for g, rec in zip(settings.gains, streams)) / np.sqrt(np.sum(settings.gains**2))
+        assert np.array_equal(combine_rf(streams, settings).samples, expected)
+
+    @pytest.mark.parametrize("gains, lo_phases, ok", [
+        ([1.0, 1.0], [0.0, 0.0], False),  # sampled without the RF phases: the sum would silently lack them
+        ([1.0, 1.0], [0.0, 2 * np.pi - 1.5], True),  # equal modulo 2 pi
+        ([1.0, 1.0], [0.0, -1.5 + 1e-9], False),
+        ([0.0, 1.0], [3.0, -1.5], True),  # a channel of zero gain does not enter the sum
+    ], ids=["unphased", "wrapped", "off", "zero-gain"])
+    def test_lo_offsets_must_match_rf_phases(self, gains, lo_phases, ok):
+        recs = records(np.ones(4), np.ones(4), lo_phases=lo_phases)
+        settings = ChannelSettings(gains=gains, phases=[0.0, 1.5])
+        if ok:
+            combine_rf(recs, settings)
+        else:
+            with pytest.raises(ValueError, match="LO offsets"):
+                combine_rf(recs, settings)
 
     def test_all_zero_gains_rejected(self):
         with pytest.raises(ValueError, match="gain"):

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from qpasim.aperture import ApertureGeometry, BeamSpec, ChannelSettings, CouplingVector
-from qpasim.gaussian import GaussianState, apply_linear_network, quadrature_variance, vacuum
+from qpasim.gaussian import (
+    GaussianState,
+    SqueezedVacuumSpec,
+    apply_linear_network,
+    lossy_squeezed_variances,
+    quadrature_variance,
+    vacuum,
+    wigner_density,
+    wigner_halfmax_axes,
+)
 from qpasim.receiver import PhaseRamp, ReceiverModel, sample_pixel_streams
 
 NAN = float("nan")
@@ -14,10 +23,12 @@ INF = float("inf")
 
 
 def _nan_field_cases():
-    for cls in (ApertureGeometry, BeamSpec, ReceiverModel, PhaseRamp):
+    required = {SqueezedVacuumSpec: {"r": 0.5}}
+    for cls in (ApertureGeometry, BeamSpec, ReceiverModel, PhaseRamp, SqueezedVacuumSpec):
+        base = required.get(cls, {})
         for f in dataclasses.fields(cls):
-            if isinstance(f.default, (int, float)):
-                yield pytest.param(cls, {f.name: NAN}, id="%s.%s" % (cls.__name__, f.name))
+            if f.name in base or isinstance(f.default, (int, float)):
+                yield pytest.param(cls, dict(base, **{f.name: NAN}), id="%s.%s" % (cls.__name__, f.name))
     yield pytest.param(ChannelSettings, {"gains": [1.0, NAN], "phases": [0.0, 0.0]}, id="ChannelSettings.gains")
     yield pytest.param(ChannelSettings, {"gains": [1.0, 1.0], "phases": [0.0, NAN]}, id="ChannelSettings.phases")
     yield pytest.param(CouplingVector, {"c": [0.1, NAN]}, id="CouplingVector.c")
@@ -47,7 +58,25 @@ def test_sample_pixel_streams_rejects_nan(kwargs):
     lambda: GaussianState(mean=[0.0, 0.0], cov=[[INF, 0.0], [0.0, 0.25]]),
     lambda: apply_linear_network(vacuum(2), [[NAN, 0.1]]),
     lambda: quadrature_variance(vacuum(1), [1.0], NAN),
-], ids=["GaussianState.mean", "GaussianState.cov", "apply_linear_network", "quadrature_variance"])
+    lambda: lossy_squeezed_variances(NAN, 0.5),
+    lambda: wigner_halfmax_axes(NAN, 0.0, 0.5),
+    lambda: wigner_halfmax_axes(0.5, NAN, 0.5),
+    lambda: wigner_density(NAN, 0.0, 0.5, 0.0, 0.0),
+    lambda: wigner_density(0.5, NAN, 0.5, 0.0, 0.0),
+], ids=["GaussianState.mean", "GaussianState.cov", "apply_linear_network", "quadrature_variance",
+        "lossy_squeezed_variances", "wigner_halfmax_axes.r", "wigner_halfmax_axes.theta",
+        "wigner_density.r", "wigner_density.theta"])
 def test_non_finite_state_rejected(make):
     with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lossy_squeezed_variances(-0.5, 0.5),
+    lambda: wigner_halfmax_axes(-0.5, 0.0, 0.5),
+    lambda: wigner_density(-0.5, 0.0, 0.5, 0.0, 0.0),
+], ids=["lossy_squeezed_variances", "wigner_halfmax_axes", "wigner_density"])
+def test_negative_squeezing_rejected(make):
+    # a negative r would silently swap the squeezed and anti-squeezed axes
+    with pytest.raises(ValueError, match=">= 0"):
         make()
