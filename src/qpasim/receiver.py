@@ -7,12 +7,19 @@ Gaussian whose variance sits ``snc_db`` below the shot level.
 Randomness contract: every sample stream comes from
 :func:`sample_pixel_streams`.  Channel ``j`` of an ``n``-channel acquisition
 draws one stream from ``channel_rng(master_seed, j)`` and the shared squeezed
-source draws x, then p, from ``channel_rng(master_seed, n)``, so per-channel
-parallelism can never reorder the randomness; a single channel is ``n = 1``.
+source draws x, then p, from ``channel_rng(master_seed, n)``; a single
+channel is ``n = 1``.  The sampler walks time in blocks and splits each
+block over at most two threads, by channel for the draws and by time for the
+mixing.  Every stream keeps its own generator (the source's is duplicated,
+and the copy skips the ``n_samples`` x draws to reach p) and every other step
+is elementwise in time, so the output is bit for bit the same for any block
+size and any number of threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +27,12 @@ import numpy as np
 
 from qpasim.aperture import ChannelSettings
 from qpasim.gaussian import GaussianState, SqueezedVacuumSpec, VACUUM_VARIANCE, apply_linear_network, squeezed_vacuum
+
+# the sampler's time block (2^14 and 2^18 ran slower) and thread count, and the CSV writer's rows per write
+# (512 to 8192 rows write equally fast; design_sweep's peak RSS, set by heap layout, was lowest at 2048)
+_CHUNK = 1 << 16
+_WORKERS = min(2, os.cpu_count() or 1)
+_CSV_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -152,33 +165,112 @@ def sample_pixel_streams(
         raise ValueError("snc_db must be >= 0 and lo_phases finite")
     if not n_samples >= 1:
         raise ValueError("n_samples must be >= 1")
+    streams = [np.empty(n_samples) for _ in range(n_ch)]
+    for _ in _pixel_blocks(c, r, ramp, n_samples, master_seed, offsets, snc_db, out=streams):
+        pass
+    return [MeasurementRecord(channel=j, samples=samples, seed=master_seed, sampling_rate=ramp.sampling_rate,
+                              lo_phase=float(offsets[j])) for j, samples in enumerate(streams)]
+
+
+def _in_parallel(tasks) -> None:
+    """Run ``tasks[0]`` on the calling thread and each other task on a thread of its own; re-raise the first error."""
+    errors = []
+
+    def guarded(task):
+        try:
+            task()
+        except Exception as exc:  # raised again on the calling thread once every task has ended
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(task,)) for task in tasks[1:]]
+    for thread in threads:
+        thread.start()
+    guarded(tasks[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _pixel_blocks(c, r, ramp, n_samples, master_seed, offsets, snc_db, out=None):
+    """Yield ``(start, block)``: ``block[j]`` holds channel j's samples ``start`` to ``start + len(block[j])``.
+
+    The inputs are those of :func:`sample_pixel_streams`, already checked.
+    With ``out`` (one array of ``n_samples`` per channel) each block is a list
+    of views into it; without, the blocks share buffers that the next block
+    overwrites.  Time is walked in blocks of ``_CHUNK`` samples.  In each
+    block the draws are split by channel groups over ``_WORKERS`` threads,
+    then the mixing by time sub-ranges; each stream keeps its own generator
+    and every other step is elementwise in time, so no sample depends on the
+    block size or the split.  Scratch is allocated here, on the calling
+    thread, as separate arrays, and the workers write into it with ``out=``.
+    """
+    n_ch = c.size
+    chunk = min(_CHUNK, n_samples)
+    workers = _WORKERS if n_samples > chunk else 1
     src_cov = squeezed_vacuum(SqueezedVacuumSpec(r=r)).cov
+    sx, sp = np.sqrt(src_cov[0, 0]), np.sqrt(src_cov[1, 1])
     sigma = np.sqrt(VACUUM_VARIANCE + _electronic_variance(snc_db))
     d = c * np.exp(-1j * offsets)
     # the noise covariance is sigma^2 (I - b b^T); its square root I - b K b^T is finite at lambda = 0 and 1
     b = np.stack([d.real, d.imag], axis=1) * (0.5 / sigma)
     lam, q = np.linalg.eigh(b.T @ b)
     k = (q / (1.0 + np.sqrt(np.clip(1.0 - lam, 0.0, None)))) @ q.T
-    src = channel_rng(master_seed, n_ch)
-    xs = src.standard_normal(n_samples) * np.sqrt(src_cov[0, 0])
-    ps = src.standard_normal(n_samples) * np.sqrt(src_cov[1, 1])
-    streams = [channel_rng(master_seed, j).standard_normal(n_samples) for j in range(n_ch)]
-    # b^T eps, accumulated in channel order so the sum never depends on a BLAS kernel
-    proj_x, proj_p, tmp = np.zeros(n_samples), np.zeros(n_samples), np.empty(n_samples)
-    for j, eps in enumerate(streams):
-        proj_x += np.multiply(eps, b[j, 0], out=tmp)
-        proj_p += np.multiply(eps, b[j, 1], out=tmp)
-    base = ramp.phase(ramp.times(n_samples))
-    cos, sin = np.cos(base), np.sin(base)
-    # sigma b_j = d_j / 2, so channel j's noise projection on b joins its source term
-    u = cos * xs + sin * ps - 0.5 * (k[0, 0] * proj_x + k[0, 1] * proj_p)
-    v = sin * xs - cos * ps - 0.5 * (k[1, 0] * proj_x + k[1, 1] * proj_p)
-    for j, samples in enumerate(streams):
-        samples *= sigma
-        samples += np.multiply(u, d[j].real, out=tmp)
-        samples += np.multiply(v, d[j].imag, out=tmp)
-    return [MeasurementRecord(channel=j, samples=samples, seed=master_seed, sampling_rate=ramp.sampling_rate,
-                              lo_phase=float(offsets[j])) for j, samples in enumerate(streams)]
+    scratch = [np.empty(chunk) for _ in range(10)]
+    xs, ps = scratch[0], scratch[1]
+    rows = out if out is not None else [np.empty(chunk) for _ in range(n_ch)]
+    # the source draws x, then p, from one generator: a second copy of it skips the n_samples x draws
+    src_x, src_p = channel_rng(master_seed, n_ch), channel_rng(master_seed, n_ch)
+    skip = [(src_p, ps[:min(chunk, n_samples - a)]) for a in range(0, n_samples, chunk)]
+    gens = [src_x, src_p] + [channel_rng(master_seed, j) for j in range(n_ch)]
+
+    def draw(pairs):
+        for gen, dest in pairs:
+            gen.standard_normal(out=dest)
+
+    def mix(block, theta, s, e):
+        x, p, px, pp, cos, sin, u, v, tmp, tmp2 = (a[s:e] for a in scratch)
+        x *= sx
+        p *= sp
+        # b^T eps, accumulated in channel order so the sum never depends on a BLAS kernel
+        px.fill(0.0)
+        pp.fill(0.0)
+        for j in range(n_ch):
+            px += np.multiply(block[j][s:e], b[j, 0], out=tmp)
+            pp += np.multiply(block[j][s:e], b[j, 1], out=tmp)
+        np.cos(theta[s:e], out=cos)
+        np.sin(theta[s:e], out=sin)
+        # sigma b_j = d_j / 2, so channel j's noise projection on b joins its source term:
+        # u = cos x + sin p - (k00 px + k01 pp) / 2 and v = sin x - cos p - (k10 px + k11 pp) / 2
+        np.multiply(cos, x, out=u)
+        u += np.multiply(sin, p, out=tmp)
+        np.multiply(sin, x, out=v)
+        v -= np.multiply(cos, p, out=tmp)
+        for w, (k0, k1) in zip((u, v), k):
+            np.multiply(px, k0, out=tmp)
+            tmp += np.multiply(pp, k1, out=tmp2)
+            tmp *= 0.5
+            w -= tmp
+        for j in range(n_ch):
+            samples = block[j][s:e]
+            samples *= sigma
+            samples += np.multiply(u, d[j].real, out=tmp)
+            samples += np.multiply(v, d[j].imag, out=tmp)
+
+    for start in range(0, n_samples, chunk):
+        m = min(chunk, n_samples - start)
+        at = start if out is not None else 0
+        block = [row[at:at + m] for row in rows]
+        pairs = list(zip(gens, [xs[:m], ps[:m]] + block))
+        groups = [pairs[w::workers] for w in range(workers)]
+        if start == 0:  # src_p, pairs[1], draws in group 1 % workers, after its skip
+            groups[1 % workers][:0] = skip
+        _in_parallel([lambda g=g: draw(g) for g in groups])
+        # ramp.times(n_samples)[start:start + m], without the prefix
+        theta = ramp.phase(np.arange(start, start + m) / ramp.sampling_rate)
+        bounds = [m * w // workers for w in range(workers + 1)]
+        _in_parallel([lambda s=s, e=e: mix(block, theta, s, e) for s, e in zip(bounds, bounds[1:])])
+        yield start, block
 
 
 def combine_rf(x, settings: ChannelSettings):
@@ -209,24 +301,32 @@ def combine_rf(x, settings: ChannelSettings):
     offset_error = np.remainder([rec.lo_phase for rec in records] + settings.phases + np.pi, 2 * np.pi) - np.pi
     if not np.all((settings.gains == 0) | (np.abs(offset_error) <= 1e-12)):
         raise ValueError("records must be sampled at LO offsets -settings.phases")
-    combined = np.zeros(lengths.pop())
+    n_samples = lengths.pop()
+    combined, tmp = np.zeros(n_samples), np.empty(n_samples)
     for g, rec in zip(settings.gains, records):
         if g != 0:
-            combined += g * rec.samples
+            combined += np.multiply(rec.samples, g, out=tmp)
+    combined /= norm
     return MeasurementRecord(
         channel=-1,
-        samples=combined / norm,
+        samples=combined,
         seed=records[0].seed,
         sampling_rate=rates.pop(),
     )
 
 
 def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
-    """Serialize records as ``time_s,channel,voltage`` rows."""
+    """Serialize records as ``time_s,channel,voltage`` rows, formatted ``%.9g,%d,%.9g``."""
     fh.write("time_s,channel,voltage\n")
     for rec in records:
-        for t, v in zip(np.arange(rec.samples.size) / rec.sampling_rate, rec.samples):
-            fh.write("%.9g,%d,%.9g\n" % (t, rec.channel, v))
+        row = "%%.9g,%d,%%.9g\n" % rec.channel
+        size = rec.samples.size
+        for start in range(0, size, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, size)
+            pairs = np.empty((stop - start, 2))
+            pairs[:, 0] = np.arange(start, stop) / rec.sampling_rate
+            pairs[:, 1] = rec.samples[start:stop]
+            fh.write((row * (stop - start)) % tuple(pairs.ravel().tolist()))
 
 
 def write_records_binary(records: Iterable[MeasurementRecord], fh) -> None:

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qpasim.gaussian import (
     squeezed_vacuum,
     vacuum,
 )
+from qpasim import receiver
 from qpasim.receiver import (
     MeasurementRecord,
     PhaseRamp,
@@ -165,6 +168,60 @@ class TestSamplePixelStreams:
             sample_pixel_streams([0.8, 0.8], 0.7, self.RAMP, 64, 5)
 
 
+class TestBlockSampler:
+    """The records do not depend on the sampler's time block or thread count."""
+
+    C = np.array([0.3, 0.2j, -0.25, 0.1 - 0.3j])
+    LO = np.array([0.1, -0.7, 2.0, 0.0])
+
+    def streams(self, monkeypatch, n, chunk, workers):
+        monkeypatch.setattr(receiver, "_CHUNK", chunk)
+        monkeypatch.setattr(receiver, "_WORKERS", workers)
+        recs = sample_pixel_streams(self.C, 0.7, ramp_over_half_turn(n), n, 5, lo_phases=self.LO, snc_db=25.0)
+        return np.array([rec.samples for rec in recs])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk, n", [(1, 37), (4099, 70001), (2**16, 70001), (70001, 70001)])
+    def test_records_match_one_block_on_one_thread(self, monkeypatch, chunk, n, workers):
+        assert chunk in (1, n) or n % chunk  # a short last block
+        one_block = self.streams(monkeypatch, n, n, 1)
+        assert np.array_equal(self.streams(monkeypatch, n, chunk, workers), one_block)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # the workers share the block's scratch by disjoint slices; a lost or misplaced write changes the bits
+        one_block = self.streams(monkeypatch, 9001, 9001, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = self.streams(monkeypatch, 9001, 1021, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(many, one_block)
+
+    def test_one_block_keeps_the_rng_contract(self, monkeypatch):
+        # channel 0 as the unchunked sampler drew it from channel_rng(5, 0) and the source's channel_rng(5, 4)
+        ch0 = self.streams(monkeypatch, 70001, 70001, 1)[0]
+        assert hashlib.sha256(ch0.astype("<f8").tobytes()).hexdigest() == (
+            "598100c5cef123940a47035d91fa7becba5565908800a532cf1c2ac6cd587ac8")
+
+    def test_one_block_call_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a call that fits in one block started a thread")
+
+        monkeypatch.setattr(receiver.threading, "Thread", no_thread)
+        self.streams(monkeypatch, 4096, 4096, 2)
+
+    def test_worker_errors_reach_the_caller(self):
+        ran = []
+
+        def fail():
+            raise ValueError("worker failed")
+
+        with pytest.raises(ValueError, match="worker failed"):
+            receiver._in_parallel([lambda: ran.append(0), fail])
+        assert ran == [0]
+
+
 _gain = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
 _phase = st.floats(min_value=-10.0, max_value=10.0)
 
@@ -266,3 +323,23 @@ class TestWriters:
         write_records_binary(recs, fh)
         back = np.frombuffer(fh.getvalue(), dtype="<f8")
         np.testing.assert_array_equal(back, np.concatenate([r.samples for r in recs]))
+
+
+def per_row_csv(records):
+    """The writer's bytes as formatted one row at a time."""
+    rows = ["time_s,channel,voltage\n"]
+    for rec in records:
+        for t, v in zip(np.arange(rec.samples.size) / rec.sampling_rate, rec.samples):
+            rows.append("%.9g,%d,%.9g\n" % (t, rec.channel, v))
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("size", [0, 1, receiver._CSV_BLOCK - 1, receiver._CSV_BLOCK, receiver._CSV_BLOCK + 1])
+def test_csv_bytes_match_per_row_format(size):
+    special = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 0.125, 1 / 3]
+    values = np.concatenate([special, np.random.default_rng(size).standard_normal(size)])[:size]
+    recs = [MeasurementRecord(channel=-1, samples=values, seed=7, sampling_rate=FS_HZ),
+            MeasurementRecord(channel=np.int64(5), samples=values[::-1], seed=7, sampling_rate=3.0)]
+    fh = io.StringIO()
+    write_records_csv(recs, fh)
+    assert fh.getvalue() == per_row_csv(recs)
