@@ -1,28 +1,1 @@
 """Simulator and analysis toolkit for a free-space squeezed-light phased-array receiver."""
-
-from qpasim.gaussian import (
-    GaussianState,
-    SqueezedVacuumSpec,
-    VACUUM_VARIANCE,
-    apply_linear_network,
-    apply_loss,
-    quadrature_variance,
-    squeezed_vacuum,
-    vacuum,
-    wigner_density,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "GaussianState",
-    "SqueezedVacuumSpec",
-    "VACUUM_VARIANCE",
-    "apply_linear_network",
-    "apply_loss",
-    "quadrature_variance",
-    "squeezed_vacuum",
-    "vacuum",
-    "wigner_density",
-    "__version__",
-]

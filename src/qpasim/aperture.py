@@ -151,7 +151,10 @@ def element_pattern(geometry: ApertureGeometry, theta_deg: float) -> float:
     Smooth even Gaussian parametrized by its full width at half maximum:
     1 at normal incidence, 0.5 at +-fwhm/2.
     """
-    ratio = np.asarray(theta_deg, dtype=float) / geometry.element_pattern_fwhm_deg
+    theta = np.asarray(theta_deg, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta_deg must be finite")
+    ratio = theta / geometry.element_pattern_fwhm_deg
     return np.exp(-4 * np.log(2) * ratio**2)
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qpasim.aperture import ApertureGeometry, BeamSpec, ChannelSettings, CouplingVector
+from qpasim.aperture import ApertureGeometry, BeamSpec, ChannelSettings, CouplingVector, element_pattern
 from qpasim.gaussian import (
     GaussianState,
     SqueezedVacuumSpec,
@@ -16,7 +16,7 @@ from qpasim.gaussian import (
     wigner_density,
     wigner_halfmax_axes,
 )
-from qpasim.receiver import PhaseRamp, ReceiverModel, sample_pixel_streams
+from qpasim.receiver import PhaseRamp, ReceiverModel, channel_effective_efficiency, sample_pixel_streams
 
 NAN = float("nan")
 INF = float("inf")
@@ -45,6 +45,7 @@ def test_nan_field_rejected(make, kwargs):
     {"r": NAN},
     {"lo_phases": [0.0, NAN]},
     {"snc_db": NAN},
+    pytest.param({"snc_db": -1.0}, id="snc_db.negative"),
 ], ids=lambda kw: next(iter(kw)))
 def test_sample_pixel_streams_rejects_nan(kwargs):
     args = dict(couplings=[0.1, 0.2], r=0.5, ramp=PhaseRamp(), n_samples=16, master_seed=1)
@@ -63,9 +64,14 @@ def test_sample_pixel_streams_rejects_nan(kwargs):
     lambda: wigner_halfmax_axes(0.5, NAN, 0.5),
     lambda: wigner_density(NAN, 0.0, 0.5, 0.0, 0.0),
     lambda: wigner_density(0.5, NAN, 0.5, 0.0, 0.0),
+    lambda: channel_effective_efficiency(NAN, ReceiverModel()),
+    lambda: channel_effective_efficiency(2.0, ReceiverModel()),
+    lambda: element_pattern(ApertureGeometry(), NAN),
+    lambda: element_pattern(ApertureGeometry(), np.array([0.0, NAN])),
 ], ids=["GaussianState.mean", "GaussianState.cov", "apply_linear_network", "quadrature_variance",
         "lossy_squeezed_variances", "wigner_halfmax_axes.r", "wigner_halfmax_axes.theta",
-        "wigner_density.r", "wigner_density.theta"])
+        "wigner_density.r", "wigner_density.theta", "channel_effective_efficiency",
+        "channel_effective_efficiency.over_unity", "element_pattern", "element_pattern.array"])
 def test_non_finite_state_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
