@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from qpasim.aperture import ChannelSettings
 from qpasim.gaussian import (
     GaussianState,
     SqueezedVacuumSpec,
@@ -15,6 +18,10 @@ from qpasim.gaussian import (
     wigner_density,
     wigner_halfmax_axes,
 )
+from qpasim.receiver import combine_rf
+
+# the documented rejection threshold: min eig(cov + i Omega/4) < -PSD_TOL max(1, max|cov|)
+PSD_TOL = 1e-9
 
 
 def closed_form_variance(r, eta, theta):
@@ -29,6 +36,34 @@ def random_unitary(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def real_embedding(u):
+    # (x1, p1, ..., xn, pn) ordering: each complex entry becomes [[re, -im], [im, re]]
+    return np.block([[np.array([[z.real, -z.imag], [z.imag, z.real]]) for z in row] for row in u])
+
+
+def boundary_covs(rng, n_modes, draws):
+    """Symmetric covariances on both sides of the uncertainty boundary.
+
+    Squeezed states (r <= 3) through random unitaries, pure and after a random
+    diagonal loss; the same shifted down by k tol I with k in [0, 3]; and
+    scaled-down and random PSD matrices that violate the relation.
+    """
+    dim = 2 * n_modes
+    for _ in range(draws):
+        r = rng.uniform(0.0, 3.0, n_modes)
+        s = real_embedding(random_unitary(n_modes, rng))
+        pure = s @ np.diag(np.ravel(np.column_stack([np.exp(-2 * r), np.exp(2 * r)]))) @ s.T / 4
+        keep = np.repeat(np.sqrt(rng.uniform(0.0, 1.0, n_modes)), 2)
+        lossy = keep[:, None] * pure * keep[None, :] + np.diag(1.0 - keep**2) / 4
+        g = rng.standard_normal((dim, dim))
+        candidates = [pure, lossy, rng.uniform(0.3, 0.999) * pure, g @ g.T * rng.uniform(0.01, 0.2) / dim]
+        for base in (pure, lossy):
+            tol = PSD_TOL * max(1.0, np.abs(base).max())
+            candidates.append(base - rng.uniform(0.0, 3.0) * tol * np.eye(dim))
+        for cov in candidates:
+            yield 0.5 * (cov + cov.T)
 
 
 class TestVacuum:
@@ -293,8 +328,56 @@ class TestStateValidation:
     def test_unphysical_cov_rejected(self):
         # each is below vacuum noise in both quadratures (det < 1/16)
         for cov in (0.01 * np.eye(2), 0.2 * np.eye(2), np.diag([0.1, 0.2])):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"uncertainty relation \(min eig "):
                 GaussianState(mean=np.zeros(2), cov=cov)
+
+    @pytest.mark.parametrize("n_modes, draws", [(1, 60), (2, 40), (4, 30), (8, 20), (32, 10)])
+    def test_accepts_exactly_when_min_eig_within_tol(self, n_modes, draws):
+        # the decision rule, evaluated here with the full spectrum of cov + i Omega/4
+        rng = np.random.default_rng(900 + n_modes)
+        verdicts = []
+        for cov in boundary_covs(rng, n_modes, draws):
+            herm = cov + 0.25j * symplectic_form(n_modes)
+            physical = np.linalg.eigvalsh(herm).min() >= -PSD_TOL * max(1.0, np.abs(cov).max())
+            if physical:
+                GaussianState(mean=np.zeros(2 * n_modes), cov=cov)
+            else:
+                with pytest.raises(ValueError, match=r"uncertainty relation \(min eig "):
+                    GaussianState(mean=np.zeros(2 * n_modes), cov=cov)
+            verdicts.append(physical)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_valid_states_skip_the_spectrum(self, monkeypatch):
+        # the Cholesky certificate alone must accept every state the package builds
+        def spectrum(*args, **kwargs):
+            raise AssertionError("a valid state reached the eigvalsh fallback")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spectrum)
+        vacuum(1)
+        vacuum(32)
+        squeezed_vacuum(SqueezedVacuumSpec(r=3.0, theta=0.4))
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        network = np.zeros((32, 32), dtype=complex)
+        network[:, 0] = 0.9 * c / np.linalg.norm(c)
+        cov = 0.25 * np.eye(64)
+        cov[:2, :2] = squeezed_vacuum(SqueezedVacuumSpec(r=1.95, theta=0.3)).cov
+        state = apply_linear_network(GaussianState(mean=np.zeros(64), cov=cov), network)
+        for j in range(32):
+            state = apply_loss(state, j, 0.5445)
+        combine_rf(state, ChannelSettings(gains=np.abs(c), phases=-np.angle(c)))
+
+    def test_rounding_asymmetry_scales_with_cov(self):
+        # a unitary on r = 6 squeezing leaves an asymmetry of ~1e-12 max|cov| from rounding alone
+        rng = np.random.default_rng(2024)
+        state = _squeezed_plus_vacuum(6.0)
+        for _ in range(50):
+            apply_linear_network(state, random_unitary(2, rng))
+        scale = np.abs(state.cov).max()
+        cov = state.cov.copy()
+        cov[0, 1] += 1e-6 * scale
+        with pytest.raises(ValueError, match="not symmetric within %s" % re.escape("%g" % (1e-12 * scale))):
+            GaussianState(mean=np.zeros(4), cov=cov)
 
     def test_symplectic_form_blocks(self):
         omega = symplectic_form(2)
@@ -308,3 +391,6 @@ class TestStateValidation:
             dtype=float,
         )
         np.testing.assert_array_equal(omega, expected)
+        # every call hands out a fresh, writable array
+        omega[0, 1] = 5.0
+        np.testing.assert_array_equal(symplectic_form(2), expected)
