@@ -1,4 +1,4 @@
-"""Homodyne receiver model, Monte Carlo quadrature sampling, and RF combining.
+"""Homodyne receiver model, Monte Carlo quadrature sampling, RF combining, and record writers.
 
 Sample streams are normalized so a vacuum input has variance equal to the
 vacuum quadrature variance (1/4).  Electronic noise enters as an additive
@@ -18,6 +18,7 @@ size and any number of threads.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -29,10 +30,11 @@ from qpasim.aperture import ChannelSettings
 from qpasim.gaussian import GaussianState, SqueezedVacuumSpec, VACUUM_VARIANCE, apply_linear_network, squeezed_vacuum
 
 # the sampler's time block (2^14 and 2^18 ran slower) and thread count, and the CSV writer's rows per write
-# (512 to 8192 rows write equally fast; design_sweep's peak RSS, set by heap layout, was lowest at 2048)
+# (at 1024 rows every block buffer, for any 64-bit channel, stays under glibc's 128 KiB mmap threshold; 4096-row
+# blocks page-faulted about 130 times per 4096-row record, and their throughput spread 5x wider between runs)
 _CHUNK = 1 << 16
 _WORKERS = min(2, os.cpu_count() or 1)
-_CSV_BLOCK = 2048
+_CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,18 @@ class MeasurementRecord:
     lo_phase: float = 0.0
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
+        try:
+            self.channel = operator.index(self.channel)
+        except TypeError:
+            raise ValueError("channel must be an integer") from None
         self.samples = np.asarray(self.samples, dtype=float)
+        if self.samples.ndim != 1:
+            raise ValueError("samples must be a 1-D array")
+        if not 0 < self.sampling_rate < np.inf:
+            raise ValueError("sampling_rate must be finite and positive")
+        if not -np.inf < self.lo_phase < np.inf:
+            raise ValueError("lo_phase must be finite")
 
 
 def channel_rng(master_seed: int, stream: int) -> np.random.Generator:
@@ -294,17 +307,138 @@ def combine_rf(x, settings: ChannelSettings):
 
 
 def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
-    """Serialize records as ``time_s,channel,voltage`` rows, formatted ``%.9g,%d,%.9g``."""
+    """Serialize records as ``time_s,channel,voltage`` rows, formatted ``%.9g,%d,%.9g``.
+
+    The bytes are those of ``"%.9g,%d,%.9g\\n" % (t, channel, v)`` row by row.  NumPy formats each value
+    but those it cannot prove, which Python formats: a scaled 9th-digit tie, NaN, inf, |v| outside [1e-13, 1e22).
+    """
     fh.write("time_s,channel,voltage\n")
     for rec in records:
-        row = "%%.9g,%d,%%.9g\n" % rec.channel
+        channel = (",%d," % rec.channel).encode("ascii")
+        width = -(-len(channel) // 8)
         size = rec.samples.size
+        # a row is two half-rows of 3 + width uint64 words: the time's slot then ",channel,", the voltage's then "\n"
+        halves = np.zeros((2 * min(_CSV_BLOCK, size), 3 + width), dtype="<u8")
+        halves[0::2, 3:] = np.frombuffer(channel.ljust(8 * width, b"\0"), dtype="<u8")
+        halves[1::2, 3] = ord("\n")
+        values = np.empty(len(halves))
         for start in range(0, size, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, size)
-            pairs = np.empty((stop - start, 2))
-            pairs[:, 0] = np.arange(start, stop) / rec.sampling_rate
-            pairs[:, 1] = rec.samples[start:stop]
-            fh.write((row * (stop - start)) % tuple(pairs.ravel().tolist()))
+            n = 2 * (stop - start)
+            values[0:n:2] = np.arange(start, stop) / rec.sampling_rate
+            values[1:n:2] = rec.samples[start:stop]
+            _g9_slots(values[:n], halves[:n, :3])
+            fh.write(halves[:n].tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def _g9_tables():
+    """Per decimal exponent e in [-14, 23] (every e that floor(log10) or a carry gives), at index e + 14.
+
+    ``mul`` and ``div`` scale to 9 integer digits: 10^(8-e) as a multiplier and as a divisor, one of them 1,
+    both exact.  The others build a slot: ``low`` masks the digits before the point in the word of digits
+    d1..d8, ``dot`` is the point after them, ``lead`` the "0." to "0.000" prefix of fixed notation below 1
+    (bytes 1-5 of word 0) and ``tail`` the "e+XX" suffix of exponent notation (bytes 1-4 of word 2).
+    """
+    mul, div, low, dot, lead, tail = [], [], [], [], [], []
+    for e in range(-14, 24):
+        fixed = -4 <= e < 9
+        point = e if fixed and e >= 0 else 0
+        mul.append(float(10 ** max(8 - e, 0)))
+        div.append(float(10 ** max(e - 8, 0)))
+        low.append((1 << 8 * point) - 1)
+        dot.append(0 if fixed and e < 0 or point == 8 else ord(".") << 8 * point)
+        lead.append(int.from_bytes(b"\0" + b"0.000"[:1 - e] if fixed and e < 0 else b"", "little"))
+        tail.append(0 if fixed else int.from_bytes(b"\0" + b"e%+03d" % e, "little"))
+    return np.array(mul), np.array(div), *(np.array(t, dtype=np.uint64) for t in (low, dot, lead, tail))
+
+
+_G9_MUL, _G9_DIV, _G9_LOW, _G9_DOT, _G9_LEAD, _G9_TAIL = _g9_tables()
+
+
+def _g9_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``"%.9g" % x[i]`` as 24 NUL-padded ASCII bytes into the three uint64 words ``out[i]``.
+
+    For finite 1e-13 <= |x| < 1e22, m = |x| 10^(8-e) is one correctly rounded product by an exact power
+    of ten.  Rounding is monotone and integers and half-integers below 2^30 are doubles, so for m in
+    [1e8, 1e9) rounding m half up gives the correctly rounded 9 digits of |x| unless m is itself a
+    half-integer.  Those values, a floor(log10) that missed (m outside [1e8, 1e9)), NaN, infinities and
+    the rest of the range are formatted by Python.  Returns the indices of the values Python formatted.
+
+    Word 0 holds the sign, the prefix below 1 and the leading digit; word 1 the other 8 digits, the point
+    shifted in after the digits before it; word 2 the digit the point pushed out, then the exponent.  Every
+    word is computed in np.uint64, which NumPy 1.24 would promote to float64 if mixed with int64.
+    """
+    u = np.uint64
+    a = np.abs(x)
+    zero = a == 0
+    fast = a >= 1e-13
+    fast &= a < 1e22
+    np.copyto(a, 1.0, where=~fast)
+    # a floor(log10) that missed puts m outside [1e8, 1e9), or on 1e8 itself, which rounds alike
+    m = np.log10(a)
+    k = np.floor(m, out=m).astype(np.intp)
+    k += 14
+    np.multiply(a, _G9_MUL[k], out=m)
+    m /= _G9_DIV[k]
+    r = np.floor(m, out=a)
+    frac = m - r
+    ok = frac != 0.5
+    ok &= m >= 1e8
+    ok &= m < 1e9
+    ok &= fast
+    ok |= zero
+    r += frac > 0.5
+    r *= fast  # zero prints as "0" or "-0"
+    carry = r >= 1e9
+    np.subtract(r, 9e8, out=r, where=carry)
+    k += carry
+    d = r.astype(u)
+    d0 = d * u(1441151881)
+    d0 >>= u(57)  # d // 10^8 for d < 10^9
+    tmp = d0 * u(100000000)
+    d -= tmp
+    w = d * u(109951163)
+    w >>= u(40)  # d // 10^4 for d < 10^8
+    # the 8 digits after the leading one: 4 per 32-bit lane, //100 per lane, then //10 per 16-bit lane
+    d -= np.multiply(w, u(10000), out=tmp)
+    d <<= u(32)
+    w |= d
+    for div, magic, shift, mask, lane in ((100, 5243, 19, 0x0000007F0000007F, 16),
+                                          (10, 103, 10, 0x000F000F000F000F, 8)):
+        q = np.multiply(w, u(magic), out=d)
+        q >>= u(shift)
+        q &= u(mask)
+        w -= np.multiply(q, u(div), out=tmp)
+        w <<= u(lane)
+        w |= q
+    # keep every digit up to the last nonzero one and every digit before the point; the rest become NUL
+    keep = np.add(w, u(0x7F7F7F7F7F7F7F7F), out=d)
+    keep &= u(0x8080808080808080)
+    for shift in (8, 16, 32):
+        keep |= np.right_shift(keep, u(shift), out=tmp)
+    keep >>= u(7)
+    keep *= u(0xFF)
+    low = _G9_LOW[k]
+    keep |= low
+    w |= u(0x3030303030303030)
+    w &= keep
+    frac = np.bitwise_and(w, ~low, out=keep)
+    w &= low
+    w |= np.left_shift(frac, u(8), out=tmp)
+    w |= np.multiply(_G9_DOT[k], frac != 0, out=tmp)
+    out[:, 1] = w
+    frac >>= u(56)
+    frac |= _G9_TAIL[k]
+    out[:, 2] = frac
+    d0 += u(ord("0"))
+    d0 <<= u(48)
+    d0 |= _G9_LEAD[k]
+    d0 |= np.multiply(np.signbit(x), u(ord("-")), out=tmp)
+    out[:, 0] = d0
+    slow = np.flatnonzero(~ok)
+    for i in slow:
+        out[i] = np.frombuffer(("%.9g" % x[i]).encode("ascii").ljust(24, b"\0"), dtype="<u8")
+    return slow
 
 
 def write_records_binary(records: Iterable[MeasurementRecord], fh) -> None:

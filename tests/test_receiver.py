@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qpasim.aperture import ChannelSettings
 from qpasim.gaussian import (
@@ -334,7 +335,9 @@ def per_row_csv(records):
     return "".join(rows)
 
 
-@pytest.mark.parametrize("size", [0, 1, receiver._CSV_BLOCK - 1, receiver._CSV_BLOCK, receiver._CSV_BLOCK + 1])
+# one block short, one block and one row past it, and the same around a record of two whole blocks
+@pytest.mark.parametrize("size", sorted({0, 1, receiver._CSV_BLOCK - 1, receiver._CSV_BLOCK, receiver._CSV_BLOCK + 1,
+                                         2047, 2048, 2049}))
 def test_csv_bytes_match_per_row_format(size):
     special = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 0.125, 1 / 3]
     values = np.concatenate([special, np.random.default_rng(size).standard_normal(size)])[:size]
@@ -343,3 +346,93 @@ def test_csv_bytes_match_per_row_format(size):
     fh = io.StringIO()
     write_records_csv(recs, fh)
     assert fh.getvalue() == per_row_csv(recs)
+
+
+def csv_of(samples, channel=-1, rate=FS_HZ):
+    """The writer's CSV and the per-row CSV of one record, cut to their first differing line."""
+    rec = MeasurementRecord(channel=channel, samples=samples, seed=7, sampling_rate=rate)
+    fh = io.StringIO()
+    write_records_csv([rec], fh)
+    fast, reference = fh.getvalue().split("\n"), per_row_csv([rec]).split("\n")
+    first = next((i for i, (a, b) in enumerate(zip(fast, reference)) if a != b), min(len(fast), len(reference)))
+    return fast[first:first + 1] + [len(fast)], reference[first:first + 1] + [len(reference)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.integers(min_value=0, max_value=40),
+               elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)),
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.floats(min_value=1e-3, max_value=1e12),
+)
+def test_csv_bytes_match_per_row_format_for_any_float(samples, channel, rate):
+    fast, reference = csv_of(samples, channel, rate)
+    assert fast == reference
+
+
+def neighbours(values, ulps):
+    """``values`` and the floats up to ``ulps`` steps away on either side."""
+    out = [values]
+    for toward in (0.0, np.inf):
+        step = values
+        for _ in range(ulps):
+            step = np.nextafter(step, toward)
+            out.append(step)
+    return np.concatenate(out)
+
+
+def adversarial_values():
+    """Every decade, 9-digit ties and the %g notation switches, each with its float neighbours.
+
+    Scaled to 9 integer digits, a tie's neighbours lie within an ulp of the half-integer, so the rounded
+    product can land exactly on it while the exact product does not.
+    """
+    decades = 10.0 ** np.arange(-320, 309)
+    digits = np.random.default_rng(5).integers(10**8, 10**9, 24)
+    ties = np.concatenate([(digits + 0.5) * 10.0 ** j for j in range(-24, 24)])
+    switches = np.array([1e-4, 1e9, 9.99999999e-5, 9.999999995e-5, 999999999.0, 999999999.5, 999999999.6,
+                         1e-13, 1e22, 9.9999999949e21, 0.5, 1.0, 5e-324, 2.2250738585072014e-308, 1.8e308])
+    near = np.concatenate([neighbours(decades, 1), neighbours(ties, 3), neighbours(switches, 1)])
+    return np.concatenate([near, -near, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+
+
+@pytest.mark.parametrize("channel", [-1, 0, 17, 10**12])
+def test_csv_bytes_match_per_row_format_on_adversarial_values(channel):
+    fast, reference = csv_of(adversarial_values(), channel)
+    assert fast == reference
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, None])
+def test_csv_bytes_do_not_depend_on_block_size(monkeypatch, block):
+    # values Python formats sit on both sides of the block boundaries at 7 and 4096 rows
+    samples = np.random.default_rng(3).standard_normal(4100)
+    samples[[6, 7, 13, 14, 4095, 4096, 4099]] = [np.nan, 1e-300, 123456789.5, -np.inf, 1e300, np.nan, 0.5e-13]
+    monkeypatch.setattr(receiver, "_CSV_BLOCK", block or samples.size)
+    fast, reference = csv_of(samples, channel=3, rate=1e5)
+    assert fast == reference
+
+
+def g9(values):
+    """The private formatter's text for ``values`` and how many of them it handed to Python."""
+    out = np.zeros((values.size, 3), dtype="<u8")
+    n_python = receiver._g9_slots(values, out).size
+    return out.tobytes().translate(None, b"\0").decode("ascii"), n_python
+
+
+def test_csv_formats_ordinary_data_in_numpy():
+    # a formatter that handed every value to Python would pass the exactness tests
+    values = np.random.default_rng(11).standard_normal(10**5)
+    text, n_python = g9(values)
+    assert n_python <= 10
+    assert text == "".join("%.9g" % v for v in values)
+
+
+@pytest.mark.parametrize("miss", [-1, 1])
+def test_csv_formatter_hands_a_missed_exponent_to_python(monkeypatch, miss):
+    # NumPy's log10 misses floor(log10) only beside a power of ten; any other miss must not print wrong digits
+    values = np.random.default_rng(4).standard_normal(1000)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + miss)
+    text, n_python = g9(values)
+    assert n_python == values.size
+    assert text == "".join("%.9g" % v for v in values)

@@ -16,7 +16,13 @@ from qpasim.gaussian import (
     wigner_density,
     wigner_halfmax_axes,
 )
-from qpasim.receiver import PhaseRamp, ReceiverModel, channel_effective_efficiency, sample_pixel_streams
+from qpasim.receiver import (
+    MeasurementRecord,
+    PhaseRamp,
+    ReceiverModel,
+    channel_effective_efficiency,
+    sample_pixel_streams,
+)
 
 NAN = float("nan")
 INF = float("inf")
@@ -52,6 +58,31 @@ def test_sample_pixel_streams_rejects_nan(kwargs):
     with pytest.raises(ValueError):
         sample_pixel_streams(**dict(args, **kwargs))
 
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sampling_rate", NAN),
+    ("sampling_rate", 0.0),
+    ("sampling_rate", -20e6),
+    ("sampling_rate", INF),
+    ("lo_phase", NAN),
+    ("lo_phase", INF),
+    ("channel", 1.7),
+    ("channel", NAN),
+    ("channel", "3"),
+    pytest.param("samples", np.zeros((2, 3)), id="samples-2d"),
+    pytest.param("samples", 0.5, id="samples-scalar"),
+])
+def test_malformed_record_rejected(field, value):
+    # a NaN or zero rate wrote "nan"/"inf" times, %d truncated 1.7 to 1, and a 2-D array failed in the writer
+    args = dict(channel=0, samples=np.zeros(4), seed=1, sampling_rate=20e6)
+    with pytest.raises(ValueError):
+        MeasurementRecord(**dict(args, **{field: value}))
+
+
+def test_record_channel_accepts_numpy_integers():
+    rec = MeasurementRecord(channel=np.int64(5), samples=[0.5], seed=1, sampling_rate=20e6)
+    assert rec.channel == 5 and type(rec.channel) is int
 
 
 @pytest.mark.parametrize("make", [
