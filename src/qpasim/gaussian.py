@@ -13,11 +13,15 @@ vacuum fills what T does not pass on (Weedbrook et al., RMP 84, 621 (2012)):
 
     mean' = S mean,    cov' = I/4 + S (cov - I/4) S^T
 
+Pure loss on one mode is the law at a diagonal S (sqrt(eta) on that mode's x
+and p, 1 elsewhere), where S E S^T is the elementwise scaling s_i E_ij s_j.
+
 All operations are pure: they return new states and never mutate inputs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,21 +87,25 @@ class GaussianState:
             raise ValueError("mean must be a vector of even, positive length")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("cov shape %s does not match mean length %d" % (cov.shape, mean.size))
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        # NaN and +-inf both fail big < inf, so big serves as the finiteness check of cov
+        big = np.abs(cov).max()
+        if not (big < np.inf and np.all(np.isfinite(mean))):
             raise ValueError("mean and covariance must be finite")
         # rounding in S (cov - I/4) S^T grows with |cov|, so both tolerances are relative
-        sym_tol = _SYM_TOL * max(1.0, np.abs(cov).max())
+        sym_tol = _SYM_TOL * max(1.0, big)
         if np.max(np.abs(cov - cov.T)) > sym_tol:
             raise ValueError("covariance matrix is not symmetric within %g" % sym_tol)
         cov = 0.5 * (cov + cov.T)
         # uncertainty relation: cov + i*Omega/4 must be PSD ([x, p] = i/2)
-        herm = cov + _i_omega_over_4(mean.size // 2)
+        i_omega = _i_omega_over_4(mean.size // 2)
         tol = _PSD_TOL * max(1.0, np.abs(cov).max())
+        shifted = cov + i_omega
+        shifted.reshape(-1)[:: mean.size + 1] += 0.5 * tol
         try:
             # success proves min eig > -tol: Cholesky's backward error is far below tol/2
-            np.linalg.cholesky(herm + (0.5 * tol) * np.eye(mean.size))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            min_eig = np.linalg.eigvalsh(herm).min()
+            min_eig = np.linalg.eigvalsh(cov + i_omega).min()
             if min_eig < -tol:
                 raise ValueError("covariance violates the uncertainty relation (min eig %g)" % min_eig) from None
         object.__setattr__(self, "mean", mean)
@@ -149,14 +157,25 @@ def _principal_cov(v_min: float, v_max: float, theta: float) -> np.ndarray:
 
 
 def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
-    """Pure loss of transmission eta on one mode: the module law at T = diag(.., sqrt(eta), ..)."""
+    """Pure loss of transmission eta on one mode: the module law at the diagonal S = diag(.., sqrt(eta), ..).
+
+    With S diagonal, S (cov - I/4) S^T is the elementwise scaling s_i (cov - I/4)_ij s_j,
+    evaluated in the order S @ E @ S.T multiplies, so the result equals
+    ``apply_linear_network(state, diag(.., sqrt(eta), ..))`` bit for bit.  No passivity
+    check is needed: with 0 <= eta <= 1 the largest singular value is exactly 1.
+    """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1], got %r" % (eta,))
+    try:
+        mode = operator.index(mode)
+    except TypeError:
+        raise ValueError("mode must be an integer") from None
     if not 0 <= mode < state.n_modes:
         raise ValueError("mode index %d out of range" % mode)
-    scale = np.ones(state.n_modes)
-    scale[mode] = np.sqrt(eta)
-    return apply_linear_network(state, np.diag(scale))
+    s = np.ones(2 * state.n_modes)
+    s[2 * mode : 2 * mode + 2] = np.sqrt(eta)
+    eye = VACUUM_VARIANCE * np.eye(2 * state.n_modes)
+    return GaussianState(mean=s * state.mean, cov=eye + (s[:, None] * (state.cov - eye)) * s)
 
 
 def _real_embedding(matrix: np.ndarray) -> np.ndarray:

@@ -108,6 +108,10 @@ class MeasurementRecord:
             raise ValueError("samples must be a 1-D array")
         if not 0 < self.sampling_rate < np.inf:
             raise ValueError("sampling_rate must be finite and positive")
+        # the writers stamp sample k at k / sampling_rate, so the last stamp must be finite too;
+        # Python float division overflows to inf without NumPy's RuntimeWarning
+        if not (self.samples.size - 1) / float(self.sampling_rate) < np.inf:
+            raise ValueError("sampling_rate %r makes the record's time axis overflow" % (self.sampling_rate,))
         if not -np.inf < self.lo_phase < np.inf:
             raise ValueError("lo_phase must be finite")
 

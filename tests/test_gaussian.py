@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from qpasim import gaussian
 from qpasim.aperture import ChannelSettings
 from qpasim.gaussian import (
     GaussianState,
@@ -149,6 +150,42 @@ class TestApplyLoss:
     def test_bad_eta_rejected(self):
         with pytest.raises(ValueError):
             apply_loss(vacuum(1), 0, 1.2)
+
+    @pytest.mark.parametrize("mode", [1.5, 1.0, "0"])
+    def test_non_integral_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            apply_loss(vacuum(3), mode, 0.5)
+
+    def test_numpy_integer_mode_accepted(self):
+        two = apply_linear_network(_squeezed_plus_vacuum(1.0), np.array([[1, 1], [-1, 1]]) / np.sqrt(2))
+        assert np.array_equal(apply_loss(two, np.int64(1), 0.5).cov, apply_loss(two, 1, 0.5).cov)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("n_modes", [1, 2, 32])
+    def test_loss_is_the_diagonal_network_bit_for_bit(self, n_modes, eta):
+        # squeezed light through a random unitary, displaced, then lost on the first, a middle and the last mode
+        rng = np.random.default_rng(40 + n_modes)
+        r = rng.uniform(0.3, 1.5, n_modes)
+        cov = np.diag(np.ravel(np.column_stack([np.exp(-2 * r), np.exp(2 * r)]))) / 4
+        mean = rng.standard_normal(2 * n_modes)
+        state = apply_linear_network(GaussianState(mean=mean, cov=cov), random_unitary(n_modes, rng))
+        for mode in sorted({0, n_modes // 2, n_modes - 1}):
+            t = np.ones(n_modes)
+            t[mode] = np.sqrt(eta)
+            lossy = apply_loss(state, mode, eta)
+            network = apply_linear_network(state, np.diag(t))
+            assert np.array_equal(lossy.cov, network.cov)
+            assert np.array_equal(lossy.mean, network.mean)
+
+    def test_loss_skips_the_network_machinery(self, monkeypatch):
+        # a diagonal S needs neither the passivity SVD nor the real embedding
+        def forbidden(*args, **kwargs):
+            raise AssertionError("apply_loss reached the general network path")
+
+        state = apply_linear_network(_squeezed_plus_vacuum(1.0), np.array([[1, 1], [-1, 1]]) / np.sqrt(2))
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(gaussian, "_real_embedding", forbidden)
+        apply_loss(state, 1, 0.36)
 
 
 def _squeezed_plus_vacuum(r):

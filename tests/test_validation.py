@@ -72,6 +72,7 @@ def test_sample_pixel_streams_rejects_nan(kwargs):
     ("channel", "3"),
     pytest.param("samples", np.zeros((2, 3)), id="samples-2d"),
     pytest.param("samples", 0.5, id="samples-scalar"),
+    pytest.param("sampling_rate", 1e-310, id="sampling_rate-time-axis-overflows"),
 ])
 def test_malformed_record_rejected(field, value):
     # a NaN or zero rate wrote "nan"/"inf" times, %d truncated 1.7 to 1, and a 2-D array failed in the writer
@@ -88,6 +89,9 @@ def test_record_channel_accepts_numpy_integers():
 @pytest.mark.parametrize("make", [
     lambda: GaussianState(mean=[NAN, 0.0], cov=0.25 * np.eye(2)),
     lambda: GaussianState(mean=[0.0, 0.0], cov=[[INF, 0.0], [0.0, 0.25]]),
+    lambda: GaussianState(mean=[0.0, 0.0], cov=[[0.25, NAN], [NAN, 0.25]]),
+    lambda: GaussianState(mean=[0.0, 0.0], cov=[[0.25, -INF], [-INF, 0.25]]),
+    lambda: GaussianState(mean=[INF, 0.0], cov=0.25 * np.eye(2)),
     lambda: apply_linear_network(vacuum(2), [[NAN, 0.1]]),
     lambda: quadrature_variance(vacuum(1), [1.0], NAN),
     lambda: lossy_squeezed_variances(NAN, 0.5),
@@ -99,7 +103,8 @@ def test_record_channel_accepts_numpy_integers():
     lambda: channel_effective_efficiency(2.0, ReceiverModel()),
     lambda: element_pattern(ApertureGeometry(), NAN),
     lambda: element_pattern(ApertureGeometry(), np.array([0.0, NAN])),
-], ids=["GaussianState.mean", "GaussianState.cov", "apply_linear_network", "quadrature_variance",
+], ids=["GaussianState.mean", "GaussianState.cov", "GaussianState.cov.offdiag_nan",
+        "GaussianState.cov.offdiag_neg_inf", "GaussianState.mean.inf", "apply_linear_network", "quadrature_variance",
         "lossy_squeezed_variances", "wigner_halfmax_axes.r", "wigner_halfmax_axes.theta",
         "wigner_density.r", "wigner_density.theta", "channel_effective_efficiency",
         "channel_effective_efficiency.over_unity", "element_pattern", "element_pattern.array"])
