@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qpasim.gaussian import _integer
+
 MODE_PROFILES = ("comb", "tophat")
 
 
@@ -36,7 +38,7 @@ class ApertureGeometry:
 
     def __post_init__(self):
         # every check is written so that NaN fails it
-        if not self.n_antennas >= 1:
+        if not _integer(self.n_antennas, "n_antennas") >= 1:
             raise ValueError("n_antennas must be >= 1")
         for name in ("pitch_um", "antenna_width_um", "wavelength_nm",
                      "element_pattern_fwhm_deg", "waveguide_width_um"):
@@ -49,7 +51,7 @@ class ApertureGeometry:
         if self.mode_profile not in MODE_PROFILES:
             raise ValueError("mode_profile must be one of %s" % (MODE_PROFILES,))
         if self.mode_profile == "comb":
-            if not self.n_waveguides >= 1:
+            if not _integer(self.n_waveguides, "n_waveguides") >= 1:
                 raise ValueError("n_waveguides must be >= 1")
             if not self.n_waveguides * self.waveguide_width_um <= self.antenna_width_um + 1e-12:
                 raise ValueError("waveguides do not fit inside the antenna width")

@@ -34,6 +34,16 @@ _SYM_TOL = 1e-12
 _PSD_TOL = 1e-9
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool, a float or anything else without ``__index__`` raises ValueError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError("%s must be an integer" % name)
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode."""
     upper = np.diag(np.resize([1.0, 0.0], 2 * n_modes - 1), 1)
@@ -166,10 +176,7 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1], got %r" % (eta,))
-    try:
-        mode = operator.index(mode)
-    except TypeError:
-        raise ValueError("mode must be an integer") from None
+    mode = _integer(mode, "mode")
     if not 0 <= mode < state.n_modes:
         raise ValueError("mode index %d out of range" % mode)
     s = np.ones(2 * state.n_modes)

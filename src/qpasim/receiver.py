@@ -18,7 +18,6 @@ size and any number of threads.
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -27,7 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from qpasim.aperture import ChannelSettings
-from qpasim.gaussian import GaussianState, SqueezedVacuumSpec, VACUUM_VARIANCE, apply_linear_network, squeezed_vacuum
+from qpasim.gaussian import (GaussianState, SqueezedVacuumSpec, VACUUM_VARIANCE, _integer, apply_linear_network,
+                             squeezed_vacuum)
 
 # the sampler's time block (2^14 and 2^18 ran slower) and thread count, and the CSV writer's rows per write
 # (at 1024 rows every block buffer, for any 64-bit channel, stays under glibc's 128 KiB mmap threshold; 4096-row
@@ -81,10 +81,20 @@ class PhaseRamp:
             raise ValueError("duration must be finite and positive")
 
     def times(self, n_samples: int) -> np.ndarray:
+        _check_time_axis(n_samples, self.sampling_rate)
         return np.arange(n_samples) / self.sampling_rate
 
     def phase(self, t: np.ndarray) -> np.ndarray:
         return 2 * np.pi * self.frequency_hz * np.asarray(t)
+
+
+def _check_time_axis(n_samples: int, sampling_rate: float) -> None:
+    """Reject a rate at which the last time stamp, (n_samples - 1) / sampling_rate, overflows.
+
+    Python float division overflows to inf without NumPy's RuntimeWarning.
+    """
+    if not (n_samples - 1) / float(sampling_rate) < np.inf:
+        raise ValueError("sampling_rate %r makes a time axis of %d samples overflow" % (sampling_rate, n_samples))
 
 
 @dataclass
@@ -99,19 +109,14 @@ class MeasurementRecord:
 
     def __post_init__(self):
         # every check is written so that NaN fails it
-        try:
-            self.channel = operator.index(self.channel)
-        except TypeError:
-            raise ValueError("channel must be an integer") from None
+        self.channel = _integer(self.channel, "channel")
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError("samples must be a 1-D array")
         if not 0 < self.sampling_rate < np.inf:
             raise ValueError("sampling_rate must be finite and positive")
-        # the writers stamp sample k at k / sampling_rate, so the last stamp must be finite too;
-        # Python float division overflows to inf without NumPy's RuntimeWarning
-        if not (self.samples.size - 1) / float(self.sampling_rate) < np.inf:
-            raise ValueError("sampling_rate %r makes the record's time axis overflow" % (self.sampling_rate,))
+        # the writers stamp sample k at k / sampling_rate, so the last stamp must be finite too
+        _check_time_axis(self.samples.size, self.sampling_rate)
         if not -np.inf < self.lo_phase < np.inf:
             raise ValueError("lo_phase must be finite")
 
@@ -177,8 +182,10 @@ def sample_pixel_streams(
         raise ValueError("total coupled power must be finite and must not exceed the input mode")
     if not np.all(np.isfinite(offsets)):
         raise ValueError("lo_phases must be finite")
-    if not n_samples >= 1:
+    if not _integer(n_samples, "n_samples") >= 1:
         raise ValueError("n_samples must be >= 1")
+    # the sampler stamps sample k at k / sampling_rate too; check the last stamp before any allocation
+    _check_time_axis(n_samples, ramp.sampling_rate)
     sigma = np.sqrt(VACUUM_VARIANCE + electronic_noise_variance(ReceiverModel(snc_db=snc_db)))
     # the outputs come before the block scratch: the other order put acquisition's peak RSS 5 MB higher (heap layout)
     streams = [np.empty(n_samples) for _ in range(n_ch)]
@@ -342,6 +349,8 @@ def _g9_tables():
     both exact.  The others build a slot: ``low`` masks the digits before the point in the word of digits
     d1..d8, ``dot`` is the point after them, ``lead`` the "0." to "0.000" prefix of fixed notation below 1
     (bytes 1-5 of word 0) and ``tail`` the "e+XX" suffix of exponent notation (bytes 1-4 of word 2).
+    Per 4-digit group i < 10^4, ``digits`` is the ASCII of "%04d" % i: byte p is i // 10^(3-p) % 10.
+    ``keep`` masks its bytes up to its last nonzero digit: byte p while i % 10^(4-p) != 0.
     """
     mul, div, low, dot, lead, tail = [], [], [], [], [], []
     for e in range(-14, 24):
@@ -353,10 +362,13 @@ def _g9_tables():
         dot.append(0 if fixed and e < 0 or point == 8 else ord(".") << 8 * point)
         lead.append(int.from_bytes(b"\0" + b"0.000"[:1 - e] if fixed and e < 0 else b"", "little"))
         tail.append(0 if fixed else int.from_bytes(b"\0" + b"e%+03d" % e, "little"))
-    return np.array(mul), np.array(div), *(np.array(t, dtype=np.uint64) for t in (low, dot, lead, tail))
+    i = np.arange(10**4)
+    digits = sum((i // 10 ** (3 - p) % 10 + ord("0")) << 8 * p for p in range(4))
+    keep = sum((i % 10 ** (4 - p) != 0) * (0xFF << 8 * p) for p in range(4))
+    return np.array(mul), np.array(div), *(np.array(t, dtype=np.uint64) for t in (low, dot, lead, tail, digits, keep))
 
 
-_G9_MUL, _G9_DIV, _G9_LOW, _G9_DOT, _G9_LEAD, _G9_TAIL = _g9_tables()
+_G9_MUL, _G9_DIV, _G9_LOW, _G9_DOT, _G9_LEAD, _G9_TAIL, _G9_DIGITS, _G9_KEEP = _g9_tables()
 
 
 def _g9_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -369,8 +381,8 @@ def _g9_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     the rest of the range are formatted by Python.  Returns the indices of the values Python formatted.
 
     Word 0 holds the sign, the prefix below 1 and the leading digit; word 1 the other 8 digits, the point
-    shifted in after the digits before it; word 2 the digit the point pushed out, then the exponent.  Every
-    word is computed in np.uint64, which NumPy 1.24 would promote to float64 if mixed with int64.
+    shifted in after the digits before it; word 2 the digit the point pushed out, then the exponent.  Digits
+    are split in np.intp, words built in np.uint64: NumPy 1.24 promotes uint64 mixed with int64 to float64.
     """
     u = np.uint64
     a = np.abs(x)
@@ -396,49 +408,23 @@ def _g9_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     carry = r >= 1e9
     np.subtract(r, 9e8, out=r, where=carry)
     k += carry
-    d = r.astype(u)
-    d0 = d * u(1441151881)
-    d0 >>= u(57)  # d // 10^8 for d < 10^9
-    tmp = d0 * u(100000000)
-    d -= tmp
-    w = d * u(109951163)
-    w >>= u(40)  # d // 10^4 for d < 10^8
-    # the 8 digits after the leading one: 4 per 32-bit lane, //100 per lane, then //10 per 16-bit lane
-    d -= np.multiply(w, u(10000), out=tmp)
-    d <<= u(32)
-    w |= d
-    for div, magic, shift, mask, lane in ((100, 5243, 19, 0x0000007F0000007F, 16),
-                                          (10, 103, 10, 0x000F000F000F000F, 8)):
-        q = np.multiply(w, u(magic), out=d)
-        q >>= u(shift)
-        q &= u(mask)
-        w -= np.multiply(q, u(div), out=tmp)
-        w <<= u(lane)
-        w |= q
+    # the leading digit d0, then the 8 digits after it as two 4-digit groups, each looked up as ASCII
+    d = r.astype(np.intp)
+    d0 = d // 10**8
+    d -= d0 * 10**8
+    hi = d // 10**4
+    lo = d - hi * 10**4
+    w = _G9_DIGITS[hi] | _G9_DIGITS[lo] << u(32)
     # keep every digit up to the last nonzero one and every digit before the point; the rest become NUL
-    keep = np.add(w, u(0x7F7F7F7F7F7F7F7F), out=d)
-    keep &= u(0x8080808080808080)
-    for shift in (8, 16, 32):
-        keep |= np.right_shift(keep, u(shift), out=tmp)
-    keep >>= u(7)
-    keep *= u(0xFF)
     low = _G9_LOW[k]
-    keep |= low
-    w |= u(0x3030303030303030)
-    w &= keep
-    frac = np.bitwise_and(w, ~low, out=keep)
+    w &= np.where(lo != 0, _G9_KEEP[lo] << u(32) | u(0xFFFFFFFF), _G9_KEEP[hi]) | low
+    frac = w & ~low
     w &= low
-    w |= np.left_shift(frac, u(8), out=tmp)
-    w |= np.multiply(_G9_DOT[k], frac != 0, out=tmp)
+    w |= frac << u(8)
+    w |= _G9_DOT[k] * (frac != 0)
     out[:, 1] = w
-    frac >>= u(56)
-    frac |= _G9_TAIL[k]
-    out[:, 2] = frac
-    d0 += u(ord("0"))
-    d0 <<= u(48)
-    d0 |= _G9_LEAD[k]
-    d0 |= np.multiply(np.signbit(x), u(ord("-")), out=tmp)
-    out[:, 0] = d0
+    out[:, 2] = frac >> u(56) | _G9_TAIL[k]
+    out[:, 0] = (d0 + ord("0")).astype(u) << u(48) | _G9_LEAD[k] | np.signbit(x) * u(ord("-"))
     slow = np.flatnonzero(~ok)
     for i in slow:
         out[i] = np.frombuffer(("%.9g" % x[i]).encode("ascii").ljust(24, b"\0"), dtype="<u8")

@@ -151,7 +151,7 @@ class TestApplyLoss:
         with pytest.raises(ValueError):
             apply_loss(vacuum(1), 0, 1.2)
 
-    @pytest.mark.parametrize("mode", [1.5, 1.0, "0"])
+    @pytest.mark.parametrize("mode", [1.5, 1.0, "0", True])
     def test_non_integral_mode_rejected(self, mode):
         with pytest.raises(ValueError, match="mode must be an integer"):
             apply_loss(vacuum(3), mode, 0.5)

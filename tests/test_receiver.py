@@ -382,18 +382,24 @@ def neighbours(values, ulps):
 
 
 def adversarial_values():
-    """Every decade, 9-digit ties and the %g notation switches, each with its float neighbours.
+    """Every decade, 9-digit ties and the %g notation switches, each with its float neighbours, and every
+    4-digit group in either half of the 8 digits after the leading one.
 
     Scaled to 9 integer digits, a tie's neighbours lie within an ulp of the half-integer, so the rounded
-    product can land exactly on it while the exact product does not.
+    product can land exactly on it while the exact product does not.  The groups come as 9-digit integers
+    1 hi lo: every hi beside every lo = 9999 - hi and beside lo = 0, in fixed notation at and above 1, below
+    1, and in exponent notation.
     """
     decades = 10.0 ** np.arange(-320, 309)
     digits = np.random.default_rng(5).integers(10**8, 10**9, 24)
     ties = np.concatenate([(digits + 0.5) * 10.0 ** j for j in range(-24, 24)])
     switches = np.array([1e-4, 1e9, 9.99999999e-5, 9.999999995e-5, 999999999.0, 999999999.5, 999999999.6,
                          1e-13, 1e22, 9.9999999949e21, 0.5, 1.0, 5e-324, 2.2250738585072014e-308, 1.8e308])
-    near = np.concatenate([neighbours(decades, 1), neighbours(ties, 3), neighbours(switches, 1)])
-    return np.concatenate([near, -near, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+    hi = np.arange(10**4)
+    groups = np.concatenate([10**8 + 10**4 * hi + (9999 - hi), 10**8 + 10**4 * hi]).astype(float)
+    scaled = [groups / 10.0 ** (8 - e) if e < 8 else groups * 10.0 ** (e - 8) for e in (0, 4, -3, 12, -7)]
+    values = np.concatenate([neighbours(decades, 1), neighbours(ties, 3), neighbours(switches, 1), *scaled])
+    return np.concatenate([values, -values, [0.0, -0.0, np.nan, np.inf, -np.inf]])
 
 
 @pytest.mark.parametrize("channel", [-1, 0, 17, 10**12])

@@ -38,6 +38,10 @@ def _nan_field_cases():
     yield pytest.param(ChannelSettings, {"gains": [1.0, NAN], "phases": [0.0, 0.0]}, id="ChannelSettings.gains")
     yield pytest.param(ChannelSettings, {"gains": [1.0, 1.0], "phases": [0.0, NAN]}, id="ChannelSettings.phases")
     yield pytest.param(CouplingVector, {"c": [0.1, NAN]}, id="CouplingVector.c")
+    # a fractional count built 3 asymmetric antennas or 3 strips on a 2.5-strip pitch; True passed as 1
+    yield pytest.param(ApertureGeometry, {"n_antennas": 2.5}, id="ApertureGeometry.n_antennas.fractional")
+    yield pytest.param(ApertureGeometry, {"n_waveguides": 2.5}, id="ApertureGeometry.n_waveguides.fractional")
+    yield pytest.param(ApertureGeometry, {"n_antennas": True}, id="ApertureGeometry.n_antennas.bool")
 
 
 @pytest.mark.parametrize("make, kwargs", _nan_field_cases())
@@ -52,6 +56,10 @@ def test_nan_field_rejected(make, kwargs):
     {"lo_phases": [0.0, NAN]},
     {"snc_db": NAN},
     pytest.param({"snc_db": -1.0}, id="snc_db.negative"),
+    pytest.param({"n_samples": 2.5}, id="n_samples.fractional"),
+    # (3 - 1) / 1e-310 overflows, which NumPy only warns about when it time-stamps the samples
+    pytest.param({"ramp": PhaseRamp(frequency_hz=0.0, sampling_rate=1e-310), "n_samples": 3},
+                 id="ramp.time-axis-overflows"),
 ], ids=lambda kw: next(iter(kw)))
 def test_sample_pixel_streams_rejects_nan(kwargs):
     args = dict(couplings=[0.1, 0.2], r=0.5, ramp=PhaseRamp(), n_samples=16, master_seed=1)
@@ -70,6 +78,7 @@ def test_sample_pixel_streams_rejects_nan(kwargs):
     ("channel", 1.7),
     ("channel", NAN),
     ("channel", "3"),
+    ("channel", True),
     pytest.param("samples", np.zeros((2, 3)), id="samples-2d"),
     pytest.param("samples", 0.5, id="samples-scalar"),
     pytest.param("sampling_rate", 1e-310, id="sampling_rate-time-axis-overflows"),
@@ -81,9 +90,21 @@ def test_malformed_record_rejected(field, value):
         MeasurementRecord(**dict(args, **{field: value}))
 
 
+def test_ramp_times_reject_an_overflowing_time_axis():
+    with pytest.raises(ValueError, match="overflow"):
+        PhaseRamp(frequency_hz=0.0, sampling_rate=1e-310).times(3)
+
+
 def test_record_channel_accepts_numpy_integers():
     rec = MeasurementRecord(channel=np.int64(5), samples=[0.5], seed=1, sampling_rate=20e6)
     assert rec.channel == 5 and type(rec.channel) is int
+
+
+def test_counts_accept_numpy_integers():
+    geometry = ApertureGeometry(n_antennas=np.int64(4), n_waveguides=np.int64(16))
+    assert geometry.antenna_centers_um.tolist() == [-26.25, -8.75, 8.75, 26.25]
+    records = sample_pixel_streams([0.1, 0.2], 0.5, PhaseRamp(), np.int64(16), 1)
+    assert [rec.samples.size for rec in records] == [16, 16]
 
 
 @pytest.mark.parametrize("make", [
