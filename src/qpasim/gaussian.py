@@ -105,10 +105,15 @@ class GaussianState:
         sym_tol = _SYM_TOL * max(1.0, big)
         if np.max(np.abs(cov - cov.T)) > sym_tol:
             raise ValueError("covariance matrix is not symmetric within %g" % sym_tol)
-        cov = 0.5 * (cov + cov.T)
+        # entries above half the largest double overflow here; the max below rejects that inf
+        with np.errstate(over="ignore"):
+            cov = 0.5 * (cov + cov.T)
+        big = np.abs(cov).max()
+        if not big < np.inf:
+            raise ValueError("mean and covariance must be finite")
         # uncertainty relation: cov + i*Omega/4 must be PSD ([x, p] = i/2)
         i_omega = _i_omega_over_4(mean.size // 2)
-        tol = _PSD_TOL * max(1.0, np.abs(cov).max())
+        tol = _PSD_TOL * max(1.0, big)
         shifted = cov + i_omega
         shifted.reshape(-1)[:: mean.size + 1] += 0.5 * tol
         try:

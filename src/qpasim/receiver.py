@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,11 +31,15 @@ from qpasim.gaussian import (GaussianState, SqueezedVacuumSpec, VACUUM_VARIANCE,
                              squeezed_vacuum)
 
 # the sampler's time block (2^14 and 2^18 ran slower) and thread count, and the CSV writer's rows per write
-# (at 1024 rows every block buffer, for any 64-bit channel, stays under glibc's 128 KiB mmap threshold; 4096-row
-# blocks page-faulted about 130 times per 4096-row record, and their throughput spread 5x wider between runs)
+# (a 2048-row block of 56-byte rows, 114 688 B for a channel of up to 6 characters, stays under glibc's 128 KiB
+# mmap threshold; 4096-row blocks of 64-byte rows page-faulted about 130 times per 4096-row record, and their
+# throughput spread 5x wider between runs)
 _CHUNK = 1 << 16
 _WORKERS = min(2, os.cpu_count() or 1)
-_CSV_BLOCK = 1024
+_CSV_BLOCK = 2048
+# time-slot blocks cached per process (3 MiB at 2048 rows); only blocks that start in a record's first
+# _TIME_SLOT_BLOCKS * _CSV_BLOCK rows are cached, so a longer record cannot cycle the cache
+_TIME_SLOT_BLOCKS = 64
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,8 @@ def sample_pixel_streams(
     ``lo_phases=-settings.phases`` and combine the records with the same
     ``settings``.
     """
+    if not _integer(master_seed, "master_seed") >= 0:
+        raise ValueError("master_seed must be >= 0")
     c = np.asarray(couplings, dtype=complex)
     n_ch = c.size
     offsets = np.zeros(n_ch) if lo_phases is None else np.asarray(lo_phases, dtype=float)
@@ -322,24 +329,37 @@ def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
 
     The bytes are those of ``"%.9g,%d,%.9g\\n" % (t, channel, v)`` row by row.  NumPy formats each value
     but those it cannot prove, which Python formats: a scaled 9th-digit tie, NaN, inf, |v| outside [1e-13, 1e22).
+    Sample k is stamped k / sampling_rate, so records at one rate share their time column: its slots are cached.
     """
     fh.write("time_s,channel,voltage\n")
     for rec in records:
         channel = (",%d," % rec.channel).encode("ascii")
         width = -(-len(channel) // 8)
         size = rec.samples.size
-        # a row is two half-rows of 3 + width uint64 words: the time's slot then ",channel,", the voltage's then "\n"
-        halves = np.zeros((2 * min(_CSV_BLOCK, size), 3 + width), dtype="<u8")
-        halves[0::2, 3:] = np.frombuffer(channel.ljust(8 * width, b"\0"), dtype="<u8")
-        halves[1::2, 3] = ord("\n")
-        values = np.empty(len(halves))
+        rate = float(rec.sampling_rate)
+        # a row is 6 + width uint64 words: the time's slot, ",channel,", then the voltage's slot, whose last byte
+        # (NUL after _g9_slots) becomes the "\n"
+        rows = np.zeros((min(_CSV_BLOCK, size), 6 + width), dtype="<u8")
+        rows[:, 3:3 + width] = np.frombuffer(channel.ljust(8 * width, b"\0"), dtype="<u8")
         for start in range(0, size, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, size)
-            n = 2 * (stop - start)
-            values[0:n:2] = np.arange(start, stop) / rec.sampling_rate
-            values[1:n:2] = rec.samples[start:stop]
-            _g9_slots(values[:n], halves[:n, :3])
-            fh.write(halves[:n].tobytes().translate(None, b"\0").decode("ascii"))
+            n = stop - start
+            if start < _TIME_SLOT_BLOCKS * _CSV_BLOCK:
+                rows[:n, :3] = _time_slots(rate, start, stop)
+            else:
+                _g9_slots(np.arange(start, stop) / rate, rows[:n, :3])
+            _g9_slots(rec.samples[start:stop], rows[:n, 3 + width:])
+            rows[:n, -1] |= _NEWLINE
+            fh.write(rows[:n].tobytes().translate(None, b"\0").decode("ascii"))
+
+
+@lru_cache(maxsize=_TIME_SLOT_BLOCKS)
+def _time_slots(rate: float, start: int, stop: int) -> np.ndarray:
+    """Read-only :func:`_g9_slots` of the time stamps ``np.arange(start, stop) / rate``."""
+    out = np.zeros((stop - start, 3), dtype="<u8")
+    _g9_slots(np.arange(start, stop) / rate, out)
+    out.flags.writeable = False
+    return out
 
 
 def _g9_tables():
@@ -369,6 +389,7 @@ def _g9_tables():
 
 
 _G9_MUL, _G9_DIV, _G9_LOW, _G9_DOT, _G9_LEAD, _G9_TAIL, _G9_DIGITS, _G9_KEEP = _g9_tables()
+_NEWLINE = np.uint64(ord("\n") << 56)
 
 
 def _g9_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -381,8 +402,10 @@ def _g9_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     the rest of the range are formatted by Python.  Returns the indices of the values Python formatted.
 
     Word 0 holds the sign, the prefix below 1 and the leading digit; word 1 the other 8 digits, the point
-    shifted in after the digits before it; word 2 the digit the point pushed out, then the exponent.  Digits
-    are split in np.intp, words built in np.uint64: NumPy 1.24 promotes uint64 mixed with int64 to float64.
+    shifted in after the digits before it; word 2 the digit the point pushed out, then the exponent, in
+    bytes 0-4.  Python's text is at most 15 bytes, so byte 7 of word 2 is always NUL: the CSV writer puts its
+    "\\n" there.  Digits are split in np.intp, words built in np.uint64: NumPy 1.24 promotes uint64 mixed with
+    int64 to float64.
     """
     u = np.uint64
     a = np.abs(x)

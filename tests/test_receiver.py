@@ -335,17 +335,28 @@ def per_row_csv(records):
     return "".join(rows)
 
 
-# one block short, one block and one row past it, and the same around a record of two whole blocks
-@pytest.mark.parametrize("size", sorted({0, 1, receiver._CSV_BLOCK - 1, receiver._CSV_BLOCK, receiver._CSV_BLOCK + 1,
-                                         2047, 2048, 2049}))
+# a row short of, at and a row past half a block (a record ending inside its only block),
+# one block and two whole blocks
+@pytest.mark.parametrize("size", sorted({0, 1, *(rows + step for rows in (receiver._CSV_BLOCK // 2, receiver._CSV_BLOCK,
+                                                                          2 * receiver._CSV_BLOCK)
+                                                 for step in (-1, 0, 1))}))
 def test_csv_bytes_match_per_row_format(size):
     special = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 0.125, 1 / 3]
     values = np.concatenate([special, np.random.default_rng(size).standard_normal(size)])[:size]
+    below = np.nextafter(FS_HZ, 0)
     recs = [MeasurementRecord(channel=-1, samples=values, seed=7, sampling_rate=FS_HZ),
-            MeasurementRecord(channel=np.int64(5), samples=values[::-1], seed=7, sampling_rate=3.0)]
+            MeasurementRecord(channel=np.int64(5), samples=values[::-1], seed=7, sampling_rate=3.0),
+            MeasurementRecord(channel=2, samples=values, seed=7, sampling_rate=below)]
     fh = io.StringIO()
-    write_records_csv(recs, fh)
-    assert fh.getvalue() == per_row_csv(recs)
+    # each record twice, so the second copy's times come from the time-slot cache
+    write_records_csv(recs + recs, fh)
+    assert fh.getvalue() == per_row_csv(recs + recs)
+    if size:
+        n = min(size, receiver._CSV_BLOCK)
+        slots = receiver._time_slots(FS_HZ, 0, n)
+        assert not slots.flags.writeable
+        # %.9g prints the same times at both rates, so only the cache's keys can tell them apart
+        assert receiver._time_slots(float(below), 0, n) is not slots
 
 
 def csv_of(samples, channel=-1, rate=FS_HZ):

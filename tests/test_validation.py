@@ -57,6 +57,10 @@ def test_nan_field_rejected(make, kwargs):
     {"snc_db": NAN},
     pytest.param({"snc_db": -1.0}, id="snc_db.negative"),
     pytest.param({"n_samples": 2.5}, id="n_samples.fractional"),
+    # 1.7 drew seed 1's samples into records that said seed=1.7, and -1 raised only after the outputs were allocated
+    pytest.param({"master_seed": 1.7}, id="master_seed.fractional"),
+    pytest.param({"master_seed": True}, id="master_seed.bool"),
+    pytest.param({"master_seed": -1}, id="master_seed.negative"),
     # (3 - 1) / 1e-310 overflows, which NumPy only warns about when it time-stamps the samples
     pytest.param({"ramp": PhaseRamp(frequency_hz=0.0, sampling_rate=1e-310), "n_samples": 3},
                  id="ramp.time-axis-overflows"),
@@ -113,6 +117,7 @@ def test_counts_accept_numpy_integers():
     lambda: GaussianState(mean=[0.0, 0.0], cov=[[0.25, NAN], [NAN, 0.25]]),
     lambda: GaussianState(mean=[0.0, 0.0], cov=[[0.25, -INF], [-INF, 0.25]]),
     lambda: GaussianState(mean=[INF, 0.0], cov=0.25 * np.eye(2)),
+    lambda: GaussianState(mean=np.zeros(2), cov=np.diag([1e308, 1e308])),
     lambda: apply_linear_network(vacuum(2), [[NAN, 0.1]]),
     lambda: quadrature_variance(vacuum(1), [1.0], NAN),
     lambda: lossy_squeezed_variances(NAN, 0.5),
@@ -125,9 +130,9 @@ def test_counts_accept_numpy_integers():
     lambda: element_pattern(ApertureGeometry(), NAN),
     lambda: element_pattern(ApertureGeometry(), np.array([0.0, NAN])),
 ], ids=["GaussianState.mean", "GaussianState.cov", "GaussianState.cov.offdiag_nan",
-        "GaussianState.cov.offdiag_neg_inf", "GaussianState.mean.inf", "apply_linear_network", "quadrature_variance",
-        "lossy_squeezed_variances", "wigner_halfmax_axes.r", "wigner_halfmax_axes.theta",
-        "wigner_density.r", "wigner_density.theta", "channel_effective_efficiency",
+        "GaussianState.cov.offdiag_neg_inf", "GaussianState.mean.inf", "GaussianState.cov.sum_overflows",
+        "apply_linear_network", "quadrature_variance", "lossy_squeezed_variances", "wigner_halfmax_axes.r",
+        "wigner_halfmax_axes.theta", "wigner_density.r", "wigner_density.theta", "channel_effective_efficiency",
         "channel_effective_efficiency.over_unity", "element_pattern", "element_pattern.array"])
 def test_non_finite_state_rejected(make):
     with pytest.raises(ValueError, match="finite"):
