@@ -143,9 +143,6 @@ class CouplingVector:
             raise ValueError("coupled power must be finite and must not exceed unity")
         object.__setattr__(self, "c", c)
 
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.c) ** 2))
-
 
 def element_pattern(geometry: ApertureGeometry, theta_deg: float) -> float:
     """Single-antenna power envelope vs incidence angle.

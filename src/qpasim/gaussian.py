@@ -251,31 +251,3 @@ def lossy_squeezed_variances(r: float, eta: float) -> tuple[float, float]:
     v_min = (eta * np.exp(-2 * r) + 1.0 - eta) * VACUUM_VARIANCE
     v_max = (eta * np.exp(2 * r) + 1.0 - eta) * VACUUM_VARIANCE
     return v_min, v_max
-
-
-def wigner_density(r: float, theta: float, eta: float, x, p):
-    """Wigner function of a lossy squeezed vacuum evaluated at (x, p).
-
-    A bivariate Gaussian whose principal variances follow the lossy squeezed
-    variance law along axes rotated by ``theta``.  Broadcasts over x and p.
-    """
-    SqueezedVacuumSpec(r, theta)
-    cov = _principal_cov(*lossy_squeezed_variances(r, eta), theta)
-    inv = np.linalg.inv(cov)
-    det = np.linalg.det(cov)
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    quad = inv[0, 0] * x**2 + 2 * inv[0, 1] * x * p + inv[1, 1] * p**2
-    return np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(det))
-
-
-def wigner_halfmax_axes(r: float, theta: float, eta: float) -> tuple[float, float, float]:
-    """Half-maximum contour of the Wigner function.
-
-    Returns (minor semi-axis, major semi-axis, orientation) where the minor
-    axis points along phase-space angle ``theta``.
-    """
-    SqueezedVacuumSpec(r, theta)
-    v_min, v_max = lossy_squeezed_variances(r, eta)
-    scale = np.sqrt(2 * np.log(2))
-    return scale * np.sqrt(v_min), scale * np.sqrt(v_max), theta

@@ -11,9 +11,10 @@ source draws x, then p, from ``channel_rng(master_seed, n)``; a single
 channel is ``n = 1``.  The sampler walks time in blocks and splits each
 block over at most two threads, by channel for the draws and by time for the
 mixing.  Every stream keeps its own generator (the source's is duplicated,
-and the copy skips the ``n_samples`` x draws to reach p) and every other step
-is elementwise in time, so the output is bit for bit the same for any block
-size and any number of threads.
+and the copy first draws and discards the ``n_samples`` x values on the
+calling thread, so its draws in the block loop are the p values) and every
+other step is elementwise in time, so the output is bit for bit the same for
+any block size and any number of threads.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ class MeasurementRecord:
     def __post_init__(self):
         # every check is written so that NaN fails it
         self.channel = _integer(self.channel, "channel")
+        if not _integer(self.seed, "seed") >= 0:
+            raise ValueError("seed must be >= 0")
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError("samples must be a 1-D array")
@@ -208,9 +211,10 @@ def sample_pixel_streams(
     # scratch is allocated here, on the calling thread, as separate arrays; the workers write into it with out=
     scratch = [np.empty(chunk) for _ in range(10)]
     xs, ps = scratch[0], scratch[1]
-    # the source draws x, then p, from one generator: a second copy of it skips the n_samples x draws
+    # the source draws x, then p, from one generator: a second copy of it first discards the n_samples x values
     src_x, src_p = channel_rng(master_seed, n_ch), channel_rng(master_seed, n_ch)
-    skip = [(src_p, ps[:min(chunk, n_samples - a)]) for a in range(0, n_samples, chunk)]
+    for a in range(0, n_samples, chunk):
+        src_p.standard_normal(out=ps[:min(chunk, n_samples - a)])
     gens = [src_x, src_p] + [channel_rng(master_seed, j) for j in range(n_ch)]
 
     def draw(pairs):
@@ -250,10 +254,7 @@ def sample_pixel_streams(
         m = min(chunk, n_samples - start)
         block = [row[start:start + m] for row in streams]
         pairs = list(zip(gens, [xs[:m], ps[:m]] + block))
-        groups = [pairs[w::workers] for w in range(workers)]
-        if start == 0:  # src_p, pairs[1], draws in group 1 % workers, after its skip
-            groups[1 % workers][:0] = skip
-        _in_parallel([lambda g=g: draw(g) for g in groups])
+        _in_parallel([lambda g=pairs[w::workers]: draw(g) for w in range(workers)])
         # ramp.times(n_samples)[start:start + m], without the prefix
         theta = ramp.phase(np.arange(start, start + m) / ramp.sampling_rate)
         bounds = [m * w // workers for w in range(workers + 1)]
@@ -305,8 +306,9 @@ def combine_rf(x, settings: ChannelSettings):
         raise ValueError("need one record per channel")
     rates = {rec.sampling_rate for rec in records}
     lengths = {rec.samples.size for rec in records}
-    if len(rates) != 1 or len(lengths) != 1:
-        raise ValueError("records must share sampling rate and length")
+    seeds = {rec.seed for rec in records}
+    if len(rates) != 1 or len(lengths) != 1 or len(seeds) != 1:
+        raise ValueError("records must share sampling rate, length and seed")
     offset_error = np.remainder([rec.lo_phase for rec in records] + settings.phases + np.pi, 2 * np.pi) - np.pi
     if not np.all((settings.gains == 0) | (np.abs(offset_error) <= 1e-12)):
         raise ValueError("records must be sampled at LO offsets -settings.phases")
@@ -319,7 +321,7 @@ def combine_rf(x, settings: ChannelSettings):
     return MeasurementRecord(
         channel=-1,
         samples=combined,
-        seed=records[0].seed,
+        seed=seeds.pop(),
         sampling_rate=rates.pop(),
     )
 

@@ -16,8 +16,6 @@ from qpasim.gaussian import (
     squeezed_vacuum,
     symplectic_form,
     vacuum,
-    wigner_density,
-    wigner_halfmax_axes,
 )
 from qpasim.receiver import combine_rf
 
@@ -318,36 +316,6 @@ class TestQuadratureVariance:
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             quadrature_variance(vacuum(2), [0.0, 0.0], 0.0)
-
-
-class TestWigner:
-    def test_peak_value_for_vacuum(self):
-        assert wigner_density(0.0, 0.0, 0.5, 0.0, 0.0) == pytest.approx(2 / np.pi, rel=1e-12)
-
-    def test_normalization(self):
-        x = np.linspace(-10, 10, 1601)
-        xx, pp = np.meshgrid(x, x)
-        w = wigner_density(1.2, 0.6, 0.8, xx, pp)
-        total = np.trapezoid(np.trapezoid(w, x, axis=1), x)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_halfmax_axis_ratio(self):
-        r = 1.95
-        minor, major, theta = wigner_halfmax_axes(r, 0.3, 1.0)
-        assert (major / minor) ** 2 == pytest.approx(np.exp(4 * r), rel=1e-12)
-        assert major / minor == pytest.approx(np.exp(2 * r), rel=1e-12)
-        assert theta == 0.3
-
-    def test_contour_matches_density(self):
-        # points on the half-max ellipse evaluate to half the peak density
-        r, theta, eta = 0.9, 0.4, 0.6
-        minor, major, _ = wigner_halfmax_axes(r, theta, eta)
-        peak = wigner_density(r, theta, eta, 0.0, 0.0)
-        c, s = np.cos(theta), np.sin(theta)
-        for t in np.linspace(0, 2 * np.pi, 9):
-            u, v = minor * np.cos(t), major * np.sin(t)
-            x, p = c * u - s * v, s * u + c * v
-            assert wigner_density(r, theta, eta, x, p) == pytest.approx(peak / 2, rel=1e-10)
 
     def test_variance_law_along_axes(self):
         v_min, v_max = lossy_squeezed_variances(0.761, 0.021)

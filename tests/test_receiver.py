@@ -1,19 +1,21 @@
 import hashlib
 import io
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qpasim.aperture import ChannelSettings
+from qpasim.aperture import ApertureGeometry, BeamSpec, ChannelSettings, coupling_vector, matched_settings
 from qpasim.gaussian import (
     VACUUM_VARIANCE,
     GaussianState,
     SqueezedVacuumSpec,
     apply_linear_network,
     apply_loss,
+    lossy_squeezed_variances,
     quadrature_variance,
     squeezed_vacuum,
     vacuum,
@@ -140,6 +142,38 @@ class TestArrayAgainstOracle:
         streams = sample_pixel_streams(np.zeros(3), 1.0, held_ramp(4096), 4096, 23, lo_phases=[0.0, 1.0, 2.0])
         for j, rec in enumerate(streams):
             np.testing.assert_array_equal(rec.samples, 0.5 * channel_rng(23, j).standard_normal(4096))
+
+
+@st.composite
+def chain_scenarios(draw):
+    """A geometry, a beam whose offset reaches past the point where it misses the aperture, r and a loss."""
+    geometry = ApertureGeometry(mode_profile=draw(st.sampled_from(["comb", "tophat"])),
+                                n_antennas=draw(st.integers(min_value=1, max_value=32)))
+    diameter = draw(st.floats(min_value=80.0, max_value=480.0))
+    # coupling_vector calls a beam a miss once its centre lies four waists (two diameters) beyond the edge
+    reach = geometry.aperture_halfwidth_um + 2 * diameter
+    beam = BeamSpec(diameter_um=diameter, center_offset_um=draw(st.floats(min_value=-1.2, max_value=1.2)) * reach,
+                    incidence_angle_deg=draw(st.floats(min_value=-1.5, max_value=1.5)))
+    return geometry, beam, draw(st.floats(min_value=0.0, max_value=1.5)), draw(st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_scenarios())
+@example((ApertureGeometry(), BeamSpec(diameter_um=80.0, center_offset_um=1000.0), 1.5, 0.5445))
+def test_chain_oracle_matches_the_closed_form(scenario):
+    # one source mode through the rank-1 coupling column, the same loss kappa on every mode, then a unit-norm
+    # combiner w: the combined mode is the source at efficiency kappa |w . c|^2
+    geometry, beam, r, kappa = scenario
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a beam that misses the aperture warns and couples nothing
+        cv = coupling_vector(geometry, beam)
+    settings = matched_settings(cv, geometry)
+    state = source_on_array(r, cv.c)
+    for j in range(geometry.n_antennas):
+        state = apply_loss(state, j, kappa)
+    got = np.linalg.eigvalsh(combine_rf(state, settings).cov)
+    w = settings.complex_weights() / np.linalg.norm(settings.gains)
+    np.testing.assert_allclose(got, lossy_squeezed_variances(r, kappa * abs(w @ cv.c) ** 2), rtol=1e-12, atol=0)
 
 
 class TestSamplePixelStreams:
@@ -302,6 +336,13 @@ class TestCombineRecords:
     def test_all_zero_gains_rejected(self):
         with pytest.raises(ValueError, match="gain"):
             combine_rf(records(np.ones(4), np.ones(4)), ChannelSettings(gains=np.zeros(2), phases=np.zeros(2)))
+
+    def test_unequal_seeds_rejected(self):
+        # otherwise the combined record would claim the first record's seed for samples of several seeds
+        recs = [MeasurementRecord(channel=j, samples=np.ones(4), seed=seed, sampling_rate=FS_HZ)
+                for j, seed in enumerate([1, 2])]
+        with pytest.raises(ValueError, match="seed"):
+            combine_rf(recs, ChannelSettings(gains=np.ones(2), phases=np.zeros(2)))
 
 
 class TestWriters:

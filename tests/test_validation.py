@@ -13,8 +13,6 @@ from qpasim.gaussian import (
     lossy_squeezed_variances,
     quadrature_variance,
     vacuum,
-    wigner_density,
-    wigner_halfmax_axes,
 )
 from qpasim.receiver import (
     MeasurementRecord,
@@ -83,6 +81,10 @@ def test_sample_pixel_streams_rejects_nan(kwargs):
     ("channel", NAN),
     ("channel", "3"),
     ("channel", True),
+    ("seed", 1.7),
+    ("seed", None),
+    ("seed", True),
+    ("seed", -3),
     pytest.param("samples", np.zeros((2, 3)), id="samples-2d"),
     pytest.param("samples", 0.5, id="samples-scalar"),
     pytest.param("sampling_rate", 1e-310, id="sampling_rate-time-axis-overflows"),
@@ -121,18 +123,13 @@ def test_counts_accept_numpy_integers():
     lambda: apply_linear_network(vacuum(2), [[NAN, 0.1]]),
     lambda: quadrature_variance(vacuum(1), [1.0], NAN),
     lambda: lossy_squeezed_variances(NAN, 0.5),
-    lambda: wigner_halfmax_axes(NAN, 0.0, 0.5),
-    lambda: wigner_halfmax_axes(0.5, NAN, 0.5),
-    lambda: wigner_density(NAN, 0.0, 0.5, 0.0, 0.0),
-    lambda: wigner_density(0.5, NAN, 0.5, 0.0, 0.0),
     lambda: channel_effective_efficiency(NAN, ReceiverModel()),
     lambda: channel_effective_efficiency(2.0, ReceiverModel()),
     lambda: element_pattern(ApertureGeometry(), NAN),
     lambda: element_pattern(ApertureGeometry(), np.array([0.0, NAN])),
 ], ids=["GaussianState.mean", "GaussianState.cov", "GaussianState.cov.offdiag_nan",
         "GaussianState.cov.offdiag_neg_inf", "GaussianState.mean.inf", "GaussianState.cov.sum_overflows",
-        "apply_linear_network", "quadrature_variance", "lossy_squeezed_variances", "wigner_halfmax_axes.r",
-        "wigner_halfmax_axes.theta", "wigner_density.r", "wigner_density.theta", "channel_effective_efficiency",
+        "apply_linear_network", "quadrature_variance", "lossy_squeezed_variances", "channel_effective_efficiency",
         "channel_effective_efficiency.over_unity", "element_pattern", "element_pattern.array"])
 def test_non_finite_state_rejected(make):
     with pytest.raises(ValueError, match="finite"):
@@ -141,9 +138,7 @@ def test_non_finite_state_rejected(make):
 
 @pytest.mark.parametrize("make", [
     lambda: lossy_squeezed_variances(-0.5, 0.5),
-    lambda: wigner_halfmax_axes(-0.5, 0.0, 0.5),
-    lambda: wigner_density(-0.5, 0.0, 0.5, 0.0, 0.0),
-], ids=["lossy_squeezed_variances", "wigner_halfmax_axes", "wigner_density"])
+], ids=["lossy_squeezed_variances"])
 def test_negative_squeezing_rejected(make):
     # a negative r would silently swap the squeezed and anti-squeezed axes
     with pytest.raises(ValueError, match=">= 0"):
