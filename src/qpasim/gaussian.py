@@ -46,6 +46,8 @@ def _integer(value, name: str) -> int:
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode."""
+    if not _integer(n_modes, "n_modes") >= 1:
+        raise ValueError("n_modes must be >= 1")
     upper = np.diag(np.resize([1.0, 0.0], 2 * n_modes - 1), 1)
     return upper - upper.T
 
@@ -133,20 +135,18 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class SqueezedVacuumSpec:
-    """Squeezing parameter r >= 0 and squeezing angle theta (mod pi)."""
+    """Squeezing parameter r >= 0; the squeezed quadrature is x, and the LO phase sets the angle it is read at."""
 
     r: float
-    theta: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.r < np.inf and np.isfinite(self.theta)):
-            raise ValueError("squeezing parameter r must be finite and >= 0, and theta finite")
-        object.__setattr__(self, "theta", float(self.theta) % np.pi)
+        if not 0 <= self.r < np.inf:
+            raise ValueError("squeezing parameter r must be finite and >= 0")
 
 
 def vacuum(n_modes: int) -> GaussianState:
     """n-mode vacuum: zero mean, cov = identity/4."""
-    if not n_modes >= 1:
+    if not _integer(n_modes, "n_modes") >= 1:
         raise ValueError("n_modes must be >= 1")
     return GaussianState(
         mean=np.zeros(2 * n_modes),
@@ -155,20 +155,12 @@ def vacuum(n_modes: int) -> GaussianState:
 
 
 def squeezed_vacuum(spec: SqueezedVacuumSpec) -> GaussianState:
-    """Single-mode squeezed vacuum with principal variances e^{-+2r}/4.
+    """Single-mode squeezed vacuum, cov = diag(e^{-2r}, e^{2r}) / 4, whose minimum variance is seen at LO phase 0.
 
-    The squeezed principal axis points along phase-space angle ``spec.theta``,
-    so the minimum variance is observed at LO phase theta.
+    Squeezed along angle phi, it is this state through the phase shifter [[e^{i phi}]] of apply_linear_network.
     """
-    cov = _principal_cov(np.exp(-2 * spec.r) * VACUUM_VARIANCE, np.exp(2 * spec.r) * VACUUM_VARIANCE, spec.theta)
+    cov = np.diag([np.exp(-2 * spec.r) * VACUUM_VARIANCE, np.exp(2 * spec.r) * VACUUM_VARIANCE])
     return GaussianState(mean=np.zeros(2), cov=cov)
-
-
-def _principal_cov(v_min: float, v_max: float, theta: float) -> np.ndarray:
-    """2x2 covariance with variance v_min along phase-space angle theta and v_max across it."""
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    return rot @ np.diag([v_min, v_max]) @ rot.T
 
 
 def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from qpasim.aperture import ChannelSettings
+from qpasim.aperture import ChannelSettings, CouplingVector
 from qpasim.gaussian import (GaussianState, SqueezedVacuumSpec, VACUUM_VARIANCE, _integer, apply_linear_network,
                              squeezed_vacuum)
 
@@ -45,31 +45,23 @@ _TIME_SLOT_BLOCKS = 64
 
 @dataclass(frozen=True)
 class ReceiverModel:
-    """Figures of merit of one coherent receiver channel plus its chain.
+    """Figures of merit of one coherent receiver channel after its antenna.
 
-    ``on_chip_loss_db`` is the total on-chip budget and already contains the
-    antenna insertion loss (``antenna_insertion_db``, which coupling
-    amplitudes carry) and the photodiode quantum efficiency
-    (``pd_efficiency``); the efficiency chain de-embeds both so nothing is
-    double counted.
+    ``chip_loss_db`` is the on-chip loss after the antenna, photodiode included: the reference hardware's 5.62 dB
+    on-chip budget less its 3.78 dB antenna insertion loss, which ``ApertureGeometry.insertion_loss_db`` owns.
     """
 
-    pd_efficiency: float = 0.70
     snc_db: float = 30.3
-    on_chip_loss_db: float = 5.62
+    chip_loss_db: float = 5.62 - 3.78
     collimator_loss_db: float = 0.8
-    antenna_insertion_db: float = 3.78
-    rf_loss_db: float = 0.0
 
     def __post_init__(self):
         # every check is written so that NaN fails it; an infinite snc_db means no electronic noise
         if not self.snc_db >= 0:
             raise ValueError("snc_db must be >= 0")
-        for name in ("on_chip_loss_db", "collimator_loss_db", "antenna_insertion_db", "rf_loss_db"):
+        for name in ("chip_loss_db", "collimator_loss_db"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError("%s must be finite and >= 0" % name)
-        if not 0.0 <= self.pd_efficiency <= 1.0:
-            raise ValueError("pd_efficiency must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -87,6 +79,8 @@ class PhaseRamp:
             raise ValueError("duration must be finite and positive")
 
     def times(self, n_samples: int) -> np.ndarray:
+        if not _integer(n_samples, "n_samples") >= 0:
+            raise ValueError("n_samples must be >= 0")
         _check_time_axis(n_samples, self.sampling_rate)
         return np.arange(n_samples) / self.sampling_rate
 
@@ -140,17 +134,10 @@ def electronic_noise_variance(model: ReceiverModel) -> float:
 
 
 def channel_effective_efficiency(c_j: complex, model: ReceiverModel) -> float:
-    """Effective efficiency of one channel from its coupling amplitude.
-
-    Chains |c_j|^2 (which carries geometric and antenna insertion loss) with
-    the on-chip loss beyond the antenna insertion, never less than the
-    photodiode's own loss, and the collimator and RF losses.
-    """
+    """Channel efficiency |c_j|^2 10^(-(chip_loss_db + collimator_loss_db) / 10); c_j carries the antenna's losses."""
     if not abs(c_j) <= 1.0:
         raise ValueError("c_j must be finite with |c_j| <= 1")
-    pd_db = -10 * np.log10(model.pd_efficiency) if model.pd_efficiency > 0 else np.inf
-    loss_db = max(model.on_chip_loss_db - model.antenna_insertion_db, pd_db)
-    loss_db += model.collimator_loss_db + model.rf_loss_db
+    loss_db = model.chip_loss_db + model.collimator_loss_db
     return float(np.abs(c_j) ** 2 * np.power(10.0, -loss_db / 10))
 
 
@@ -183,13 +170,11 @@ def sample_pixel_streams(
     """
     if not _integer(master_seed, "master_seed") >= 0:
         raise ValueError("master_seed must be >= 0")
-    c = np.asarray(couplings, dtype=complex)
+    c = CouplingVector(couplings).c
     n_ch = c.size
     offsets = np.zeros(n_ch) if lo_phases is None else np.asarray(lo_phases, dtype=float)
     if c.ndim != 1 or offsets.shape != c.shape:
         raise ValueError("couplings and lo_phases must be 1-D vectors of equal length")
-    if not np.sum(np.abs(c) ** 2) <= 1.0 + 1e-9:
-        raise ValueError("total coupled power must be finite and must not exceed the input mode")
     if not np.all(np.isfinite(offsets)):
         raise ValueError("lo_phases must be finite")
     if not _integer(n_samples, "n_samples") >= 1:

@@ -23,6 +23,11 @@ from qpasim.receiver import combine_rf
 PSD_TOL = 1e-9
 
 
+def _rotated(r, phi):
+    # a squeezed vacuum whose minimum variance is read at LO phase phi: the source through the phase shifter e^{i phi}
+    return apply_linear_network(squeezed_vacuum(SqueezedVacuumSpec(r=r)), [[np.exp(1j * phi)]])
+
+
 def closed_form_variance(r, eta, theta):
     # the quadrature variance law every propagation result must reproduce
     return (
@@ -100,13 +105,11 @@ class TestSqueezedVacuum:
     def test_purity_invariant(self):
         # product of principal variances is 1/16 for any pure squeezed state
         for r in [0.0, 0.3, 1.0, 1.95]:
-            state = squeezed_vacuum(SqueezedVacuumSpec(r=r, theta=0.4))
+            state = _rotated(r, 0.4)
             assert np.linalg.det(state.cov) == pytest.approx(1.0 / 16.0, rel=1e-12)
 
     def test_angle_selects_measured_quadrature(self):
-        spec = SqueezedVacuumSpec(r=0.8, theta=0.7)
-        state = squeezed_vacuum(spec)
-        v = quadrature_variance(state, [1.0], spec.theta)
+        v = quadrature_variance(_rotated(0.8, 0.7), [1.0], 0.7)
         assert v == pytest.approx(np.exp(-1.6) / 4, rel=1e-12)
 
     def test_negative_r_rejected(self):
@@ -116,7 +119,7 @@ class TestSqueezedVacuum:
 
 class TestApplyLoss:
     def test_eta_one_identity(self):
-        state = squeezed_vacuum(SqueezedVacuumSpec(r=1.2, theta=0.3))
+        state = _rotated(1.2, 0.3)
         out = apply_loss(state, 0, 1.0)
         np.testing.assert_allclose(out.cov, state.cov, atol=1e-15)
 
@@ -133,7 +136,7 @@ class TestApplyLoss:
         assert quadrature_variance(state, [1.0], 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_loss_composition(self):
-        state = squeezed_vacuum(SqueezedVacuumSpec(r=1.4, theta=1.0))
+        state = _rotated(1.4, 1.0)
         a = apply_loss(apply_loss(state, 0, 0.7), 0, 0.4)
         b = apply_loss(state, 0, 0.7 * 0.4)
         np.testing.assert_allclose(a.cov, b.cov, atol=1e-12)
@@ -279,7 +282,7 @@ class TestLinearNetwork:
         network = np.zeros((32, 32), dtype=complex)
         network[:, 0] = 0.9 * c / np.linalg.norm(c)
         cov = 0.25 * np.eye(64)
-        cov[:2, :2] = squeezed_vacuum(SqueezedVacuumSpec(r=1.0, theta=0.3)).cov
+        cov[:2, :2] = _rotated(1.0, 0.3).cov
         state = apply_linear_network(GaussianState(mean=np.zeros(64), cov=cov), network)
         kappa = 0.5445
         one_by_one = state
@@ -360,13 +363,13 @@ class TestStateValidation:
         monkeypatch.setattr(np.linalg, "eigvalsh", spectrum)
         vacuum(1)
         vacuum(32)
-        squeezed_vacuum(SqueezedVacuumSpec(r=3.0, theta=0.4))
+        _rotated(3.0, 0.4)
         rng = np.random.default_rng(3)
         c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         network = np.zeros((32, 32), dtype=complex)
         network[:, 0] = 0.9 * c / np.linalg.norm(c)
         cov = 0.25 * np.eye(64)
-        cov[:2, :2] = squeezed_vacuum(SqueezedVacuumSpec(r=1.95, theta=0.3)).cov
+        cov[:2, :2] = _rotated(1.95, 0.3).cov
         state = apply_linear_network(GaussianState(mean=np.zeros(64), cov=cov), network)
         for j in range(32):
             state = apply_loss(state, j, 0.5445)

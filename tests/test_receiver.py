@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qpasim.aperture import ApertureGeometry, BeamSpec, ChannelSettings, coupling_vector, matched_settings
+from qpasim.aperture import (ApertureGeometry, BeamSpec, ChannelSettings, CouplingVector, coupling_vector,
+                             deembed_insertion_loss, matched_settings)
 from qpasim.gaussian import (
     VACUUM_VARIANCE,
     GaussianState,
@@ -199,8 +200,11 @@ class TestSamplePixelStreams:
             sample_pixel_streams(self.C, 0.7, self.RAMP, 0, 5)
 
     def test_superunity_coupling_rejected(self):
-        with pytest.raises(ValueError, match="coupled power"):
-            sample_pixel_streams([0.8, 0.8], 0.7, self.RAMP, 64, 5)
+        # the sampler applies CouplingVector's rule, so both refuse the same couplings with the same message
+        for couplings in ([0.8, 0.8], np.full(4, 0.6 + 0j), [0.1, np.nan], [1.0, 1e-4]):
+            for make in (CouplingVector, lambda c: sample_pixel_streams(c, 0.7, self.RAMP, 64, 5)):
+                with pytest.raises(ValueError, match="^coupled power must be finite and must not exceed unity$"):
+                    make(couplings)
 
 
 class TestBlockSampler:
@@ -277,21 +281,33 @@ _db = st.floats(min_value=0.0, max_value=1e6)
 @settings(max_examples=200, deadline=None)
 @given(
     st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
-    st.builds(ReceiverModel, pd_efficiency=st.floats(min_value=0.0, max_value=1.0),
-              snc_db=st.floats(min_value=0.0), on_chip_loss_db=_db, collimator_loss_db=_db,
-              antenna_insertion_db=_db, rf_loss_db=_db),
+    st.builds(ReceiverModel, snc_db=st.floats(min_value=0.0), chip_loss_db=_db, collimator_loss_db=_db),
 )
 def test_channel_effective_efficiency_within_unit_interval(c_j, model):
     assert 0.0 <= channel_effective_efficiency(c_j, model) <= 1.0
 
 
 @pytest.mark.parametrize("model, expected", [
-    (ReceiverModel(), 10 ** (-2.64 / 10)),  # on-chip loss beyond the antenna insertion: 5.62 - 3.78 dB
-    (ReceiverModel(pd_efficiency=0.5), 0.5 * 10 ** -0.08),  # the photodiode's 3.01 dB exceeds it
-], ids=["on-chip-limited", "pd-limited"])
+    (ReceiverModel(), 10 ** (-2.64 / 10)),  # on-chip loss after the antenna, 5.62 - 3.78 dB, plus the collimator's 0.8
+], ids=["on-chip-limited"])
 def test_channel_effective_efficiency_pinned(model, expected):
-    assert expected == pytest.approx({0.7: 0.5445027, 0.5: 0.4158819}[model.pd_efficiency], abs=1e-7)
+    assert expected == pytest.approx(0.5445027, abs=1e-7)
     assert channel_effective_efficiency(1.0, model) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("insertion_loss_db", [0.0, 3.78, 6.0])
+def test_loss_budget_counts_each_loss_once(insertion_loss_db):
+    # the geometry owns the antenna's insertion loss and the receiver model what follows it
+    geometry = ApertureGeometry(insertion_loss_db=insertion_loss_db)
+    c = coupling_vector(geometry, BeamSpec(diameter_um=300.0, center_offset_um=40.0, incidence_angle_deg=0.5))
+    model = ReceiverModel()
+    c_prime = deembed_insertion_loss(c, geometry)
+    on = c.c != 0
+    assert np.count_nonzero(on) == geometry.n_antennas
+    budget_db = np.array([10 * np.log10(channel_effective_efficiency(c_j, model)) for c_j in c.c[on]])
+    expected_db = (10 * np.log10(np.abs(c_prime[on]) ** 2) - insertion_loss_db - model.chip_loss_db
+                   - model.collimator_loss_db)
+    np.testing.assert_allclose(budget_db, expected_db, rtol=0, atol=1e-12)
 
 
 class TestCombineRecords:

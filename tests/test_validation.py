@@ -12,6 +12,7 @@ from qpasim.gaussian import (
     apply_linear_network,
     lossy_squeezed_variances,
     quadrature_variance,
+    symplectic_form,
     vacuum,
 )
 from qpasim.receiver import (
@@ -94,6 +95,22 @@ def test_malformed_record_rejected(field, value):
     args = dict(channel=0, samples=np.zeros(4), seed=1, sampling_rate=20e6)
     with pytest.raises(ValueError):
         MeasurementRecord(**dict(args, **{field: value}))
+
+
+@pytest.mark.parametrize("make", [
+    # 2.5 stamped 3 samples, True 1 and -1 none
+    lambda: PhaseRamp().times(2.5),
+    lambda: PhaseRamp().times(True),
+    lambda: PhaseRamp().times(-1),
+    # 1.5 raised TypeError from np.zeros, True built a 1-mode state and 0 raised NumPy's "new_shape" error
+    lambda: vacuum(1.5),
+    lambda: vacuum(True),
+    lambda: symplectic_form(0),
+], ids=["PhaseRamp.times.fractional", "PhaseRamp.times.bool", "PhaseRamp.times.negative", "vacuum.fractional",
+        "vacuum.bool", "symplectic_form.zero"])
+def test_malformed_count_rejected(make):
+    with pytest.raises(ValueError, match="n_samples|n_modes"):
+        make()
 
 
 def test_ramp_times_reject_an_overflowing_time_axis():
