@@ -57,12 +57,8 @@ class ApertureGeometry:
                 raise ValueError("waveguides do not fit inside the antenna width")
 
     @property
-    def wavelength_um(self) -> float:
-        return self.wavelength_nm * 1e-3
-
-    @property
     def wavenumber(self) -> float:
-        return 2 * np.pi / self.wavelength_um
+        return 2 * np.pi / (self.wavelength_nm * 1e-3)
 
     @property
     def antenna_centers_um(self) -> np.ndarray:
@@ -110,7 +106,10 @@ class BeamSpec:
 
 @dataclass
 class ChannelSettings:
-    """Per-channel RF gains and net phases."""
+    """Per-channel RF gains and net phases: 1-D, of one length, finite; gains >= 0 with sum(gains**2) > 0.
+
+    The power sum, not any(gains > 0), also rejects gains whose squares underflow to 0 (1e-200) and no gains.
+    """
 
     gains: np.ndarray
     phases: np.ndarray
@@ -122,6 +121,8 @@ class ChannelSettings:
             raise ValueError("gains and phases must be 1-D vectors of equal length")
         if not (np.all((self.gains >= 0) & (self.gains < np.inf)) and np.all(np.isfinite(self.phases))):
             raise ValueError("gains must be finite and >= 0, and phases finite")
+        if not np.sum(self.gains**2) > 0:
+            raise ValueError("gains must carry power: sum(gains**2) must be > 0")
 
     @property
     def n_channels(self) -> int:
@@ -133,12 +134,14 @@ class ChannelSettings:
 
 @dataclass(frozen=True)
 class CouplingVector:
-    """Complex per-antenna coupling amplitudes of the incident beam."""
+    """Complex per-antenna coupling amplitudes of the incident beam: a non-empty 1-D vector with sum |c|^2 <= 1."""
 
     c: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=complex)
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("couplings must be a non-empty 1-D vector")
         if not np.sum(np.abs(c) ** 2) <= 1.0 + 1e-9:
             raise ValueError("coupled power must be finite and must not exceed unity")
         object.__setattr__(self, "c", c)
@@ -209,28 +212,26 @@ def geometric_efficiency(c: CouplingVector, weights: ChannelSettings, geometry: 
 
     eta_geo = |sum_j g_j e^{i phi_j} c'_j|^2 / sum_j g_j^2 with the antenna
     insertion loss de-embedded from c (geometric and insertion losses are
-    budgeted separately).
+    budgeted separately).  ``ChannelSettings`` guarantees sum_j g_j^2 > 0.
     """
     if weights.n_channels != c.c.size:
         raise ValueError("weights length must match the coupling vector")
-    if not np.any(weights.gains > 0):
-        raise ValueError("at least one gain must be nonzero")
     cp = deembed_insertion_loss(c, geometry)
     amp = np.sum(weights.complex_weights() * cp)
     return float(np.abs(amp) ** 2 / np.sum(weights.gains**2))
 
 
 def geometric_loss(c: CouplingVector, weights: ChannelSettings, geometry: ApertureGeometry) -> float:
-    """Geometric loss in dB of the weighted combination (insertion loss excluded)."""
-    return -10 * np.log10(geometric_efficiency(c, weights, geometry))
+    """Geometric loss in dB of the weighted combination (insertion loss excluded); inf, quietly, if it is dark."""
+    with np.errstate(divide="ignore"):
+        return -10 * np.log10(geometric_efficiency(c, weights, geometry))
 
 
 def matched_settings(c: CouplingVector, geometry: ApertureGeometry, amplitude_weights: bool = False) -> ChannelSettings:
     """Gain/phase profile maximizing the geometric efficiency.
 
-    Phases conjugate the coupling phases; with ``amplitude_weights`` the
-    gains follow |c'_j| (the Cauchy-Schwarz optimum), otherwise they are
-    uniform.
+    Phases conjugate the coupling phases; with ``amplitude_weights`` the gains follow |c'_j| (the Cauchy-Schwarz
+    optimum), which ``ChannelSettings`` rejects for a dark beam, otherwise they are uniform.
     """
     cp = deembed_insertion_loss(c, geometry)
     gains = np.abs(cp) if amplitude_weights else np.ones(c.c.size)

@@ -135,13 +135,16 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class SqueezedVacuumSpec:
-    """Squeezing parameter r >= 0; the squeezed quadrature is x, and the LO phase sets the angle it is read at."""
+    """Squeezing parameter r; the squeezed quadrature is x, and the LO phase sets the angle it is read at.
+
+    Rejects r unless 0 <= 2 r <= ln(DBL_MAX), about 709.78: above it e^{2r} overflows to inf.
+    """
 
     r: float
 
     def __post_init__(self):
-        if not 0 <= self.r < np.inf:
-            raise ValueError("squeezing parameter r must be finite and >= 0")
+        if not 0 <= 2 * self.r <= np.log(np.finfo(float).max):
+            raise ValueError("squeezing parameter r must be >= 0 with e^(2 r) finite: 2 r <= ln(DBL_MAX)")
 
 
 def vacuum(n_modes: int) -> GaussianState:

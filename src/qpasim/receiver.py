@@ -4,17 +4,15 @@ Sample streams are normalized so a vacuum input has variance equal to the
 vacuum quadrature variance (1/4).  Electronic noise enters as an additive
 Gaussian whose variance sits ``snc_db`` below the shot level.
 
-Randomness contract: every sample stream comes from
-:func:`sample_pixel_streams`.  Channel ``j`` of an ``n``-channel acquisition
-draws one stream from ``channel_rng(master_seed, j)`` and the shared squeezed
-source draws x, then p, from ``channel_rng(master_seed, n)``; a single
-channel is ``n = 1``.  The sampler walks time in blocks and splits each
-block over at most two threads, by channel for the draws and by time for the
-mixing.  Every stream keeps its own generator (the source's is duplicated,
-and the copy first draws and discards the ``n_samples`` x values on the
-calling thread, so its draws in the block loop are the p values) and every
-other step is elementwise in time, so the output is bit for bit the same for
-any block size and any number of threads.
+Randomness contract: every sample stream comes from :func:`sample_pixel_streams`.  Channel ``j`` of an
+``n``-channel acquisition draws one stream from ``channel_rng(master_seed, j)`` and the shared squeezed source
+draws x, then p, from ``channel_rng(master_seed, n)``; a single channel is ``n = 1``.  ``channel_rng`` checks
+the seeds: a master seed or stream index that is not an integer >= 0 raises ValueError.  The sampler walks
+time in blocks and splits each block over at most two threads, by channel for the draws and by time for the
+mixing.  Every stream keeps its own generator (the source's is duplicated, and the copy first draws and
+discards the ``n_samples`` x values on the calling thread, so its draws in the block loop are the p values)
+and every other step is elementwise in time, so the output is bit for bit the same for any block size and any
+number of threads.
 """
 
 from __future__ import annotations
@@ -124,7 +122,9 @@ class MeasurementRecord:
 
 
 def channel_rng(master_seed: int, stream: int) -> np.random.Generator:
-    """Generator for stream index ``stream`` derived from the master seed."""
+    """Generator for stream index ``stream`` derived from the master seed; rejects either unless an integer >= 0."""
+    if not (_integer(master_seed, "master_seed") >= 0 and _integer(stream, "stream") >= 0):
+        raise ValueError("master_seed and stream must be >= 0")
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(master_seed), int(stream))))
 
 
@@ -152,28 +152,24 @@ def sample_pixel_streams(
 ) -> list[MeasurementRecord]:
     """Correlated per-channel streams of one squeezed beam on the array.
 
-    ``couplings`` are the effective complex amplitudes of the source mode on
-    each channel (chain losses folded in, sum |c|^2 <= 1).  The streams have
-    the covariance of :func:`apply_linear_network` with matrix ``c`` on the
-    squeezed source plus vacuum, read at each channel's LO phase, plus
-    electronic noise e.  With d = c e^{-i lo_phases}, channel j is the shared
-    source term Re(d_j) u + Im(d_j) v, where (u, v) are the source quadratures
-    at the ramp phase, plus noise of covariance (1/4 + e) I - Re(d d^dag)/4:
-    the vacuum entering channel j is correlated with channel k's.  A single
-    channel of efficiency eta is ``couplings=[sqrt(eta)]``.
+    ``couplings`` are the effective complex amplitudes of the source mode on each channel (chain losses folded
+    in).  The streams have the covariance of :func:`apply_linear_network` with matrix ``c`` on the squeezed
+    source plus vacuum, read at each channel's LO phase, plus electronic noise e.  With d = c e^{-i lo_phases},
+    channel j is the shared source term Re(d_j) u + Im(d_j) v, where (u, v) are the source quadratures at the
+    ramp phase, plus noise of covariance (1/4 + e) I - Re(d d^dag)/4: the vacuum entering channel j is
+    correlated with channel k's.  A single channel of efficiency eta is ``couplings=[sqrt(eta)]``.
 
-    ``lo_phases`` offsets each channel's LO phase, which is how RF phase
-    settings act on sample streams.  The sign is opposite to the RF phase:
-    to stream what ``combine_rf(state, settings)`` forms from the state, pass
-    ``lo_phases=-settings.phases`` and combine the records with the same
-    ``settings``.
+    ``lo_phases`` offsets each channel's LO phase, which is how RF phase settings act on sample streams.  The
+    sign is opposite to the RF phase: to stream what ``combine_rf(state, settings)`` forms from the state, pass
+    ``lo_phases=-settings.phases`` and combine the records with the same ``settings``.
+
+    The owners of the inputs check them before any output is allocated: :class:`CouplingVector` the couplings
+    (non-empty, 1-D, sum |c|^2 <= 1), :class:`SqueezedVacuumSpec` ``r`` and :func:`channel_rng` ``master_seed``.
     """
-    if not _integer(master_seed, "master_seed") >= 0:
-        raise ValueError("master_seed must be >= 0")
     c = CouplingVector(couplings).c
     n_ch = c.size
     offsets = np.zeros(n_ch) if lo_phases is None else np.asarray(lo_phases, dtype=float)
-    if c.ndim != 1 or offsets.shape != c.shape:
+    if offsets.shape != c.shape:
         raise ValueError("couplings and lo_phases must be 1-D vectors of equal length")
     if not np.all(np.isfinite(offsets)):
         raise ValueError("lo_phases must be finite")
@@ -182,11 +178,13 @@ def sample_pixel_streams(
     # the sampler stamps sample k at k / sampling_rate too; check the last stamp before any allocation
     _check_time_axis(n_samples, ramp.sampling_rate)
     sigma = np.sqrt(VACUUM_VARIANCE + electronic_noise_variance(ReceiverModel(snc_db=snc_db)))
+    src_cov = squeezed_vacuum(SqueezedVacuumSpec(r=r)).cov
+    # channel_rng checks master_seed before any allocation; the source draws x from gens[0], p from its copy gens[1]
+    gens = [channel_rng(master_seed, n_ch) for _ in range(2)] + [channel_rng(master_seed, j) for j in range(n_ch)]
     # the outputs come before the block scratch: the other order put acquisition's peak RSS 5 MB higher (heap layout)
     streams = [np.empty(n_samples) for _ in range(n_ch)]
     chunk = min(_CHUNK, n_samples)
     workers = _WORKERS if n_samples > chunk else 1
-    src_cov = squeezed_vacuum(SqueezedVacuumSpec(r=r)).cov
     sx, sp = np.sqrt(src_cov[0, 0]), np.sqrt(src_cov[1, 1])
     d = c * np.exp(-1j * offsets)
     # the noise covariance is sigma^2 (I - b b^T); its square root I - b K b^T is finite at lambda = 0 and 1
@@ -196,11 +194,9 @@ def sample_pixel_streams(
     # scratch is allocated here, on the calling thread, as separate arrays; the workers write into it with out=
     scratch = [np.empty(chunk) for _ in range(10)]
     xs, ps = scratch[0], scratch[1]
-    # the source draws x, then p, from one generator: a second copy of it first discards the n_samples x values
-    src_x, src_p = channel_rng(master_seed, n_ch), channel_rng(master_seed, n_ch)
+    # gens[1] first discards the n_samples x values, so its draws in the block loop are the p values
     for a in range(0, n_samples, chunk):
-        src_p.standard_normal(out=ps[:min(chunk, n_samples - a)])
-    gens = [src_x, src_p] + [channel_rng(master_seed, j) for j in range(n_ch)]
+        gens[1].standard_normal(out=ps[:min(chunk, n_samples - a)])
 
     def draw(pairs):
         for gen, dest in pairs:
@@ -271,18 +267,14 @@ def _in_parallel(tasks) -> None:
 def combine_rf(x, settings: ChannelSettings):
     """Coherently combine channels with the gain/phase profile.
 
-    The weighted sum sum_j g_j e^{i phi_j} (.) is renormalized by
-    sqrt(sum g^2) so a vacuum input keeps variance 1/4.  Accepts either a
-    multimode :class:`GaussianState` (returns the combined single-mode
-    state) or a sequence of :class:`MeasurementRecord` whose streams were
-    generated with the phases applied as LO offsets (returns the combined
-    record; in the sample domain phases act at generation time, so only the
-    gains enter the sum).  Records of nonzero gain must be sampled with
+    The weighted sum sum_j g_j e^{i phi_j} (.) is renormalized by sqrt(sum g^2), which ``ChannelSettings``
+    keeps > 0, so a vacuum input keeps variance 1/4.  Accepts either a multimode :class:`GaussianState`
+    (returns the combined single-mode state) or a sequence of :class:`MeasurementRecord` whose streams were
+    generated with the phases applied as LO offsets (returns the combined record; in the sample domain phases
+    act at generation time, so only the gains enter the sum).  Records of nonzero gain must be sampled with
     ``lo_phases=-settings.phases`` (mod 2 pi): an RF phase phi is an LO offset -phi.
     """
     norm = np.sqrt(np.sum(settings.gains**2))
-    if not norm > 0:
-        raise ValueError("at least one gain must be nonzero")
     if isinstance(x, GaussianState):
         row = settings.complex_weights()[np.newaxis, :] / norm
         return apply_linear_network(x, row)

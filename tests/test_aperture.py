@@ -160,6 +160,11 @@ class TestGeometricLoss:
         with pytest.raises(ValueError):
             geometric_loss(default_coupling, ChannelSettings(gains=np.zeros(32), phases=np.zeros(32)), GEO)
 
+    def test_dark_combination_is_an_infinite_loss(self):
+        # -10 log10(0) is inf without NumPy's divide-by-zero warning, which Tier-1 would turn into an error
+        dark = CouplingVector(c=np.zeros(32))
+        assert geometric_loss(dark, ChannelSettings(gains=np.ones(32), phases=np.zeros(32)), GEO) == np.inf
+
 
 class TestElementPattern:
     def test_normal_incidence(self):

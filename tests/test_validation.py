@@ -1,17 +1,21 @@
 """Every range check rejects NaN, so bad input fails at construction instead of propagating."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qpasim.aperture import ApertureGeometry, BeamSpec, ChannelSettings, CouplingVector, element_pattern
+from qpasim.aperture import (ApertureGeometry, BeamSpec, ChannelSettings, CouplingVector, element_pattern,
+                             geometric_efficiency)
 from qpasim.gaussian import (
     GaussianState,
     SqueezedVacuumSpec,
     apply_linear_network,
+    apply_loss,
     lossy_squeezed_variances,
     quadrature_variance,
+    squeezed_vacuum,
     symplectic_form,
     vacuum,
 )
@@ -20,6 +24,7 @@ from qpasim.receiver import (
     PhaseRamp,
     ReceiverModel,
     channel_effective_efficiency,
+    channel_rng,
     sample_pixel_streams,
 )
 
@@ -41,6 +46,37 @@ def _nan_field_cases():
     yield pytest.param(ApertureGeometry, {"n_antennas": 2.5}, id="ApertureGeometry.n_antennas.fractional")
     yield pytest.param(ApertureGeometry, {"n_waveguides": 2.5}, id="ApertureGeometry.n_waveguides.fractional")
     yield pytest.param(ApertureGeometry, {"n_antennas": True}, id="ApertureGeometry.n_antennas.bool")
+    # each input rule has one owner: the gains' power, the coupling column, the seeds and the squeezing r
+    # (1e-200 squares to 0: geometric_efficiency returned NaN for it, and channel_rng truncated 1.7 and True to 1)
+    tiny, zeros = np.r_[1e-200, np.zeros(31)], np.zeros(32)
+
+    def efficiency(gains):
+        return geometric_efficiency(CouplingVector(np.full(32, 0.1)), ChannelSettings(gains, zeros), ApertureGeometry())
+
+    yield pytest.param(ChannelSettings, {"gains": zeros, "phases": zeros}, id="ChannelSettings.gains.zero")
+    yield pytest.param(ChannelSettings, {"gains": tiny, "phases": zeros}, id="ChannelSettings.gains.underflow")
+    yield pytest.param(ChannelSettings, {"gains": [], "phases": []}, id="ChannelSettings.gains.empty")
+    yield pytest.param(efficiency, {"gains": tiny}, id="geometric_efficiency.gains.underflow")
+    yield pytest.param(CouplingVector, {"c": [[0.1, 0.2]]}, id="CouplingVector.c.2-D")
+    yield pytest.param(CouplingVector, {"c": []}, id="CouplingVector.c.empty")
+    for seed, stream, name in [(1.7, 0, "master_seed.fractional"), (True, 0, "master_seed.bool"),
+                               (-1, 0, "master_seed.negative"), (0, -1, "stream.negative"),
+                               (0, 2.5, "stream.fractional")]:
+        yield pytest.param(channel_rng, {"master_seed": seed, "stream": stream}, id="channel_rng." + name)
+    yield pytest.param(SqueezedVacuumSpec, {"r": 355.0}, id="SqueezedVacuumSpec.r.overflows")
+    # rejection branches that no other case reaches
+    yield pytest.param(ApertureGeometry, {"n_antennas": 0}, id="ApertureGeometry.n_antennas.zero")
+    yield pytest.param(ApertureGeometry, {"n_waveguides": 0}, id="ApertureGeometry.n_waveguides.zero")
+    yield pytest.param(ApertureGeometry, {"n_waveguides": 32}, id="ApertureGeometry.n_waveguides.overfull")
+    yield pytest.param(ChannelSettings, {"gains": [1.0, 1.0], "phases": [0.0]}, id="ChannelSettings.shapes")
+    yield pytest.param(geometric_efficiency, {"c": CouplingVector([0.1, 0.2]), "weights": ChannelSettings(
+        np.ones(3), np.zeros(3)), "geometry": ApertureGeometry()}, id="geometric_efficiency.length")
+    yield pytest.param(GaussianState, {"mean": np.zeros(3), "cov": 0.25 * np.eye(3)}, id="GaussianState.mean.odd")
+    yield pytest.param(GaussianState, {"mean": np.zeros(2), "cov": 0.25 * np.eye(4)}, id="GaussianState.cov.shape")
+    yield pytest.param(apply_loss, {"state": vacuum(1), "mode": 1, "eta": 0.5}, id="apply_loss.mode.range")
+    yield pytest.param(apply_linear_network, {"state": vacuum(1), "matrix": [[0.5], [0.5]]},
+                       id="apply_linear_network.more_outputs")
+    yield pytest.param(lossy_squeezed_variances, {"r": 0.5, "eta": 1.5}, id="lossy_squeezed_variances.eta")
 
 
 @pytest.mark.parametrize("make, kwargs", _nan_field_cases())
@@ -60,6 +96,11 @@ def test_nan_field_rejected(make, kwargs):
     pytest.param({"master_seed": 1.7}, id="master_seed.fractional"),
     pytest.param({"master_seed": True}, id="master_seed.bool"),
     pytest.param({"master_seed": -1}, id="master_seed.negative"),
+    # CouplingVector owns the column's shape: [] returned no records, and [[0.1, 0.2]] failed only in the sampler
+    pytest.param({"couplings": [[0.1, 0.2]]}, id="couplings.2-D"),
+    pytest.param({"couplings": []}, id="couplings.empty"),
+    # e^{2r} overflows: r = 400 failed only in GaussianState, after an overflow warning
+    pytest.param({"r": 400.0}, id="r.overflows"),
     # (3 - 1) / 1e-310 overflows, which NumPy only warns about when it time-stamps the samples
     pytest.param({"ramp": PhaseRamp(frequency_hz=0.0, sampling_rate=1e-310), "n_samples": 3},
                  id="ramp.time-axis-overflows"),
@@ -118,6 +159,35 @@ def test_ramp_times_reject_an_overflowing_time_axis():
         PhaseRamp(frequency_hz=0.0, sampling_rate=1e-310).times(3)
 
 
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"master_seed": 1.7}, id="master_seed.fractional"),
+    pytest.param({"master_seed": True}, id="master_seed.bool"),
+    pytest.param({"master_seed": -1}, id="master_seed.negative"),
+    pytest.param({"r": 400.0}, id="r.overflows"),
+])
+def test_sample_pixel_streams_rejects_before_allocating(kwargs):
+    # the outputs of 2 x 2^20 samples take 16 MiB; a bad seed or r must be rejected before they are allocated
+    args = dict(couplings=[0.1, 0.2], r=0.5, ramp=PhaseRamp(), n_samples=1 << 20, master_seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            sample_pixel_streams(**dict(args, **kwargs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_channel_rng_accepts_numpy_integers():
+    assert np.array_equal(channel_rng(np.int64(3), np.int64(2)).random(8), channel_rng(3, 2).random(8))
+
+
+def test_largest_squeezing_stays_finite():
+    # 2 r = 708 lies below ln(DBL_MAX) = 709.78, so e^{2r} and both variances stay finite
+    assert np.all(np.isfinite(lossy_squeezed_variances(354.0, 0.5)))
+    assert np.all(np.isfinite(squeezed_vacuum(SqueezedVacuumSpec(354.0)).cov))
+
+
 def test_record_channel_accepts_numpy_integers():
     rec = MeasurementRecord(channel=np.int64(5), samples=[0.5], seed=1, sampling_rate=20e6)
     assert rec.channel == 5 and type(rec.channel) is int
@@ -140,13 +210,15 @@ def test_counts_accept_numpy_integers():
     lambda: apply_linear_network(vacuum(2), [[NAN, 0.1]]),
     lambda: quadrature_variance(vacuum(1), [1.0], NAN),
     lambda: lossy_squeezed_variances(NAN, 0.5),
+    lambda: lossy_squeezed_variances(400.0, 0.0),
     lambda: channel_effective_efficiency(NAN, ReceiverModel()),
     lambda: channel_effective_efficiency(2.0, ReceiverModel()),
     lambda: element_pattern(ApertureGeometry(), NAN),
     lambda: element_pattern(ApertureGeometry(), np.array([0.0, NAN])),
 ], ids=["GaussianState.mean", "GaussianState.cov", "GaussianState.cov.offdiag_nan",
         "GaussianState.cov.offdiag_neg_inf", "GaussianState.mean.inf", "GaussianState.cov.sum_overflows",
-        "apply_linear_network", "quadrature_variance", "lossy_squeezed_variances", "channel_effective_efficiency",
+        "apply_linear_network", "quadrature_variance", "lossy_squeezed_variances",
+        "lossy_squeezed_variances.overflows", "channel_effective_efficiency",
         "channel_effective_efficiency.over_unity", "element_pattern", "element_pattern.array"])
 def test_non_finite_state_rejected(make):
     with pytest.raises(ValueError, match="finite"):
