@@ -95,8 +95,8 @@ class BeamSpec:
     def __post_init__(self):
         if not 0 < self.diameter_um < np.inf:
             raise ValueError("beam diameter must be finite and positive")
-        if not (np.isfinite(self.center_offset_um) and np.isfinite(self.incidence_angle_deg)):
-            raise ValueError("beam offset and incidence angle must be finite")
+        if not (np.isfinite(self.center_offset_um) and -90 < self.incidence_angle_deg < 90):
+            raise ValueError("beam offset must be finite and the incidence angle inside (-90, 90) degrees")
 
     @property
     def waist_um(self) -> float:
@@ -106,9 +106,9 @@ class BeamSpec:
 
 @dataclass
 class ChannelSettings:
-    """Per-channel RF gains and net phases: 1-D, of one length, finite; gains >= 0 with sum(gains**2) > 0.
+    """Per-channel RF gains and net phases: 1-D, of one length, finite; gains >= 0 with 0 < sum(gains**2) < inf.
 
-    The power sum, not any(gains > 0), also rejects gains whose squares underflow to 0 (1e-200) and no gains.
+    The power sum, not any(gains > 0), also rejects no gains and gains whose squares underflow (1e-200) or overflow.
     """
 
     gains: np.ndarray
@@ -121,8 +121,9 @@ class ChannelSettings:
             raise ValueError("gains and phases must be 1-D vectors of equal length")
         if not (np.all((self.gains >= 0) & (self.gains < np.inf)) and np.all(np.isfinite(self.phases))):
             raise ValueError("gains must be finite and >= 0, and phases finite")
-        if not np.sum(self.gains**2) > 0:
-            raise ValueError("gains must carry power: sum(gains**2) must be > 0")
+        with np.errstate(over="ignore"):
+            if not 0 < np.sum(self.gains**2) < np.inf:
+                raise ValueError("gains must carry finite power: 0 < sum(gains**2) < inf")
 
     @property
     def n_channels(self) -> int:

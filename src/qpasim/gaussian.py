@@ -6,7 +6,9 @@ X(theta) = cos(theta) x + sin(theta) p, so a lossy squeezed vacuum obeys
 
     Var(X(theta)) = eta/4 (e^{-2r} cos^2 th + e^{+2r} sin^2 th) + (1 - eta)/4
 
-which every module in this package treats as the closed-form reference.
+which every module in this package treats as the closed-form reference.  Its principal variances
+(eta e^{-+2r} + (1 - eta)) / 4 are evaluated only in :func:`lossy_squeezed_variances`, where 1.0 - eta is exact
+for eta >= 1/2 (Sterbenz's lemma), so at eta = 1 they are e^{-+2r} / 4 to the bit.
 Every passive map (network, pure loss, RF combiner) is one law: a complex
 m x n matrix T with singular values <= 1 acts through its real embedding S, and
 vacuum fills what T does not pass on (Weedbrook et al., RMP 84, 621 (2012)):
@@ -158,12 +160,11 @@ def vacuum(n_modes: int) -> GaussianState:
 
 
 def squeezed_vacuum(spec: SqueezedVacuumSpec) -> GaussianState:
-    """Single-mode squeezed vacuum, cov = diag(e^{-2r}, e^{2r}) / 4, whose minimum variance is seen at LO phase 0.
+    """Single-mode squeezed vacuum, cov = diag(e^{-2r}, e^{2r}) / 4: the module's variance law at eta = 1.
 
-    Squeezed along angle phi, it is this state through the phase shifter [[e^{i phi}]] of apply_linear_network.
+    Its minimum variance is seen at LO phase 0; squeezed along phi, it passes [[e^{i phi}]] of apply_linear_network.
     """
-    cov = np.diag([np.exp(-2 * spec.r) * VACUUM_VARIANCE, np.exp(2 * spec.r) * VACUUM_VARIANCE])
-    return GaussianState(mean=np.zeros(2), cov=cov)
+    return GaussianState(mean=np.zeros(2), cov=np.diag(lossy_squeezed_variances(spec.r, 1.0)))
 
 
 def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
@@ -214,8 +215,8 @@ def apply_linear_network(state: GaussianState, matrix: np.ndarray) -> GaussianSt
     m, n = t.shape
     if n != state.n_modes:
         raise ValueError("matrix has %d columns but state has %d modes" % (n, state.n_modes))
-    if m > n:
-        raise ValueError("matrix cannot output more modes than it consumes")
+    if not 0 < m <= n:
+        raise ValueError("matrix must output at least one mode and no more modes than it consumes")
     # the finite check runs first: an SVD of a non-finite matrix does not converge
     if not np.all(np.isfinite(t)) or np.linalg.svd(t, compute_uv=False)[0] ** 2 > 1.0 + 1e-9:
         raise ValueError("matrix must be finite and must not amplify (largest singular value <= 1)")
@@ -239,10 +240,10 @@ def quadrature_variance(state: GaussianState, weights: np.ndarray, theta: float)
 
 
 def lossy_squeezed_variances(r: float, eta: float) -> tuple[float, float]:
-    """Principal (min, max) variances of a squeezed vacuum seen at efficiency eta."""
+    """Principal (min, max) variances of a squeezed vacuum seen at efficiency eta: the one evaluation of the law."""
     SqueezedVacuumSpec(r)
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    v_min = (eta * np.exp(-2 * r) + 1.0 - eta) * VACUUM_VARIANCE
-    v_max = (eta * np.exp(2 * r) + 1.0 - eta) * VACUUM_VARIANCE
+    v_min = (eta * np.exp(-2 * r) + (1.0 - eta)) * VACUUM_VARIANCE
+    v_max = (eta * np.exp(2 * r) + (1.0 - eta)) * VACUUM_VARIANCE
     return v_min, v_max

@@ -26,8 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from qpasim.aperture import ChannelSettings, CouplingVector
-from qpasim.gaussian import (GaussianState, SqueezedVacuumSpec, VACUUM_VARIANCE, _integer, apply_linear_network,
-                             squeezed_vacuum)
+from qpasim.gaussian import GaussianState, VACUUM_VARIANCE, _integer, apply_linear_network, lossy_squeezed_variances
 
 # the sampler's time block (2^14 and 2^18 ran slower) and thread count, and the CSV writer's rows per write
 # (a 2048-row block of 56-byte rows, 114 688 B for a channel of up to 6 characters, stays under glibc's 128 KiB
@@ -36,8 +35,8 @@ from qpasim.gaussian import (GaussianState, SqueezedVacuumSpec, VACUUM_VARIANCE,
 _CHUNK = 1 << 16
 _WORKERS = min(2, os.cpu_count() or 1)
 _CSV_BLOCK = 2048
-# time-slot blocks cached per process (3 MiB at 2048 rows); only blocks that start in a record's first
-# _TIME_SLOT_BLOCKS * _CSV_BLOCK rows are cached, so a longer record cannot cycle the cache
+# time-slot blocks cached per process (3 MiB at 2048 rows); every block's times come from the cache, so a record
+# longer than _TIME_SLOT_BLOCKS * _CSV_BLOCK rows just evicts the least recently used blocks
 _TIME_SLOT_BLOCKS = 64
 
 
@@ -178,14 +177,13 @@ def sample_pixel_streams(
     # the sampler stamps sample k at k / sampling_rate too; check the last stamp before any allocation
     _check_time_axis(n_samples, ramp.sampling_rate)
     sigma = np.sqrt(VACUUM_VARIANCE + electronic_noise_variance(ReceiverModel(snc_db=snc_db)))
-    src_cov = squeezed_vacuum(SqueezedVacuumSpec(r=r)).cov
+    sx, sp = np.sqrt(lossy_squeezed_variances(r, 1.0))
     # channel_rng checks master_seed before any allocation; the source draws x from gens[0], p from its copy gens[1]
     gens = [channel_rng(master_seed, n_ch) for _ in range(2)] + [channel_rng(master_seed, j) for j in range(n_ch)]
     # the outputs come before the block scratch: the other order put acquisition's peak RSS 5 MB higher (heap layout)
     streams = [np.empty(n_samples) for _ in range(n_ch)]
     chunk = min(_CHUNK, n_samples)
     workers = _WORKERS if n_samples > chunk else 1
-    sx, sp = np.sqrt(src_cov[0, 0]), np.sqrt(src_cov[1, 1])
     d = c * np.exp(-1j * offsets)
     # the noise covariance is sigma^2 (I - b b^T); its square root I - b K b^T is finite at lambda = 0 and 1
     b = np.stack([d.real, d.imag], axis=1) * (0.5 / sigma)
@@ -308,7 +306,8 @@ def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
 
     The bytes are those of ``"%.9g,%d,%.9g\\n" % (t, channel, v)`` row by row.  NumPy formats each value
     but those it cannot prove, which Python formats: a scaled 9th-digit tie, NaN, inf, |v| outside [1e-13, 1e22).
-    Sample k is stamped k / sampling_rate, so records at one rate share their time column: its slots are cached.
+    Sample k is stamped k / sampling_rate, so records at one rate share their time column: every block takes its
+    time slots from the one cache of :func:`_time_slots`, which a long record cycles through.
     """
     fh.write("time_s,channel,voltage\n")
     for rec in records:
@@ -323,10 +322,7 @@ def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
         for start in range(0, size, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, size)
             n = stop - start
-            if start < _TIME_SLOT_BLOCKS * _CSV_BLOCK:
-                rows[:n, :3] = _time_slots(rate, start, stop)
-            else:
-                _g9_slots(np.arange(start, stop) / rate, rows[:n, :3])
+            rows[:n, :3] = _time_slots(rate, start, stop)
             _g9_slots(rec.samples[start:stop], rows[:n, 3 + width:])
             rows[:n, -1] |= _NEWLINE
             fh.write(rows[:n].tobytes().translate(None, b"\0").decode("ascii"))

@@ -1,4 +1,5 @@
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -324,6 +325,24 @@ class TestQuadratureVariance:
         v_min, v_max = lossy_squeezed_variances(0.761, 0.021)
         assert v_min / VACUUM_VARIANCE == pytest.approx(0.983583773, rel=1e-8)
         assert v_max / VACUUM_VARIANCE == pytest.approx(1.0 + 0.021 * (np.exp(1.522) - 1), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-9, 0.3, 1.0, 5.0, 10.0, 20.0, 354.0])
+    def test_variance_law_within_4_eps_of_exact(self, r):
+        # eta e^{-2r} + 1 - eta summed left to right cancelled to 0.0 at eta = 1, r = 20
+        etas = [0.0, 1e-12, 0.021, 0.5, 1 - 1e-12, np.nextafter(1.0, 0.0), 1.0]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for eta in etas:
+                exact_eta = Decimal(eta)
+                for got, sign in zip(lossy_squeezed_variances(r, eta), (-1, 1)):
+                    exact = (exact_eta * (sign * 2 * Decimal(r)).exp() + (1 - exact_eta)) / 4
+                    assert abs(Decimal(float(got)) - exact) <= 4 * Decimal(np.finfo(float).eps) * exact, (eta, sign)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-9, 0.761, 20.0, 354.0])
+    def test_squeezed_vacuum_is_the_law_at_unit_efficiency(self, r):
+        cov = squeezed_vacuum(SqueezedVacuumSpec(r=r)).cov
+        assert np.array_equal(cov, np.diag(lossy_squeezed_variances(r, 1.0)))
+        assert np.array_equal(cov, np.diag([np.exp(-2 * r) / 4, np.exp(2 * r) / 4]))
 
 
 class TestStateValidation:

@@ -416,6 +416,17 @@ def test_csv_bytes_match_per_row_format(size):
         assert receiver._time_slots(float(below), 0, n) is not slots
 
 
+def test_csv_bytes_match_per_row_format_after_a_record_cycles_the_time_slot_cache():
+    # the long record's blocks evict the first ones, which the short record at its rate then formats again
+    long = receiver._TIME_SLOT_BLOCKS * receiver._CSV_BLOCK + receiver._CSV_BLOCK // 2
+    values = np.random.default_rng(8).standard_normal(long)
+    recs = [MeasurementRecord(channel=0, samples=values, seed=7, sampling_rate=7e6),
+            MeasurementRecord(channel=1, samples=values[:receiver._CSV_BLOCK + 3], seed=7, sampling_rate=7e6)]
+    fh = io.StringIO()
+    write_records_csv(recs, fh)
+    assert fh.getvalue() == per_row_csv(recs)
+
+
 def csv_of(samples, channel=-1, rate=FS_HZ):
     """The writer's CSV and the per-row CSV of one record, cut to their first differing line."""
     rec = MeasurementRecord(channel=channel, samples=samples, seed=7, sampling_rate=rate)

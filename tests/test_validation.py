@@ -56,6 +56,9 @@ def _nan_field_cases():
     yield pytest.param(ChannelSettings, {"gains": zeros, "phases": zeros}, id="ChannelSettings.gains.zero")
     yield pytest.param(ChannelSettings, {"gains": tiny, "phases": zeros}, id="ChannelSettings.gains.underflow")
     yield pytest.param(ChannelSettings, {"gains": [], "phases": []}, id="ChannelSettings.gains.empty")
+    # 1e200 squares to inf: combine_rf returned the vacuum for it and geometric_efficiency NaN
+    yield pytest.param(ChannelSettings, {"gains": [1e200, 1.0], "phases": [0.0, 0.0]},
+                       id="ChannelSettings.gains.overflow")
     yield pytest.param(efficiency, {"gains": tiny}, id="geometric_efficiency.gains.underflow")
     yield pytest.param(CouplingVector, {"c": [[0.1, 0.2]]}, id="CouplingVector.c.2-D")
     yield pytest.param(CouplingVector, {"c": []}, id="CouplingVector.c.empty")
@@ -76,6 +79,12 @@ def _nan_field_cases():
     yield pytest.param(apply_loss, {"state": vacuum(1), "mode": 1, "eta": 0.5}, id="apply_loss.mode.range")
     yield pytest.param(apply_linear_network, {"state": vacuum(1), "matrix": [[0.5], [0.5]]},
                        id="apply_linear_network.more_outputs")
+    # no rows raised IndexError from the passivity check's SVD
+    yield pytest.param(apply_linear_network, {"state": vacuum(3), "matrix": np.zeros((0, 3))},
+                       id="apply_linear_network.no_outputs")
+    # 1e300 degrees overflowed in element_pattern, and without -W error gave all-zero couplings and no miss warning
+    yield pytest.param(BeamSpec, {"incidence_angle_deg": 1e300}, id="BeamSpec.incidence_angle_deg.overflow")
+    yield pytest.param(BeamSpec, {"incidence_angle_deg": -90.0}, id="BeamSpec.incidence_angle_deg.grazing")
     yield pytest.param(lossy_squeezed_variances, {"r": 0.5, "eta": 1.5}, id="lossy_squeezed_variances.eta")
 
 
