@@ -86,15 +86,15 @@ class ApertureGeometry:
 
 @dataclass(frozen=True)
 class BeamSpec:
-    """Collimated Gaussian beam: 1/e^2 intensity diameter, offset, incidence."""
+    """Collimated Gaussian beam: 1/e^2 diameter in (0, sqrt(DBL_MAX)), its square finite; offset, incidence."""
 
     diameter_um: float = 200.0
     center_offset_um: float = 0.0
     incidence_angle_deg: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.diameter_um < np.inf:
-            raise ValueError("beam diameter must be finite and positive")
+        if not 0 < self.diameter_um < np.sqrt(np.finfo(float).max):
+            raise ValueError("beam diameter must be positive with a finite square: 0 < diameter_um < sqrt(DBL_MAX)")
         if not (np.isfinite(self.center_offset_um) and -90 < self.incidence_angle_deg < 90):
             raise ValueError("beam offset must be finite and the incidence angle inside (-90, 90) degrees")
 
@@ -106,9 +106,10 @@ class BeamSpec:
 
 @dataclass
 class ChannelSettings:
-    """Per-channel RF gains and net phases: 1-D, of one length, finite; gains >= 0 with 0 < sum(gains**2) < inf.
+    """Per-channel RF gains and net phases: 1-D, of one length, finite; gains >= 0 with DBL_MIN <= sum(gains**2) < inf.
 
-    The power sum, not any(gains > 0), also rejects no gains and gains whose squares underflow (1e-200) or overflow.
+    The power sum, not any(gains > 0), also rejects no gains and gains whose squares overflow, underflow to 0
+    (1e-200) or are subnormal (3e-162), where they have lost precision: DBL_MIN is the smallest normal double.
     """
 
     gains: np.ndarray
@@ -122,8 +123,8 @@ class ChannelSettings:
         if not (np.all((self.gains >= 0) & (self.gains < np.inf)) and np.all(np.isfinite(self.phases))):
             raise ValueError("gains must be finite and >= 0, and phases finite")
         with np.errstate(over="ignore"):
-            if not 0 < np.sum(self.gains**2) < np.inf:
-                raise ValueError("gains must carry finite power: 0 < sum(gains**2) < inf")
+            if not np.finfo(float).tiny <= np.sum(self.gains**2) < np.inf:
+                raise ValueError("gains must carry finite, normal power: DBL_MIN <= sum(gains**2) < inf")
 
     @property
     def n_channels(self) -> int:
@@ -152,13 +153,14 @@ def element_pattern(geometry: ApertureGeometry, theta_deg: float) -> float:
     """Single-antenna power envelope vs incidence angle.
 
     Smooth even Gaussian parametrized by its full width at half maximum:
-    1 at normal incidence, 0.5 at +-fwhm/2.
+    1 at normal incidence, 0.5 at +-fwhm/2.  Where (theta / fwhm)^2 overflows, as it does off axis for a
+    tiny fwhm, the pattern is exactly 0, quietly.
     """
     theta = np.asarray(theta_deg, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta_deg must be finite")
-    ratio = theta / geometry.element_pattern_fwhm_deg
-    return np.exp(-4 * np.log(2) * ratio**2)
+    with np.errstate(over="ignore"):
+        return np.exp(-4 * np.log(2) * (theta / geometry.element_pattern_fwhm_deg) ** 2)
 
 
 # math.erf rather than scipy.special.erf: importing scipy takes several times

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,22 +45,6 @@ def _integer(value, name: str) -> int:
     raise ValueError("%s must be an integer" % name)
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode."""
-    if not _integer(n_modes, "n_modes") >= 1:
-        raise ValueError("n_modes must be >= 1")
-    upper = np.diag(np.resize([1.0, 0.0], 2 * n_modes - 1), 1)
-    return upper - upper.T
-
-
-@lru_cache(maxsize=16)
-def _i_omega_over_4(n_modes: int) -> np.ndarray:
-    """Read-only i Omega / 4, the commutator term of the uncertainty relation."""
-    out = 1j * VACUUM_VARIANCE * symplectic_form(n_modes)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class GaussianState:
     """Mean vector and covariance matrix of an n-mode Gaussian state.
@@ -76,19 +59,21 @@ class GaussianState:
     Raises
     ------
     ValueError
-        If the dimensions are inconsistent, the covariance is not symmetric
-        within 1e-12 max(1, max|cov|), either contains a non-finite entry, or
-        the uncertainty relation cov + (i/4) Omega >= 0 is violated: the
+        If the dimensions are inconsistent, either contains a non-finite
+        entry, the covariance is not symmetric within 1e-12 max(1, max|cov|),
+        or the uncertainty relation cov + (i/4) Omega >= 0 is violated: the
         smallest eigenvalue lies below -tol, tol = 1e-9 max(1, max|cov|).
+        max|cov| is taken once, of the symmetrized covariance that is stored.
 
     Notes
     -----
-    The relation is certified by one Cholesky factorization of
-    cov + (i/4) Omega + (tol/2) I.  Success proves the smallest eigenvalue
-    exceeds -tol, because the factorization's backward error, about
+    i/4 and -i/4 are written in place into a complex copy of cov, whose
+    diagonal is shifted by tol/2: one Cholesky factorization of this
+    cov + (i/4) Omega + (tol/2) I certifies the relation.  Success proves the
+    smallest eigenvalue exceeds -tol, as the backward error, about
     (2n)^2 eps max|cov| (1e-12 max|cov| at 32 modes), is far below tol/2.
-    Only when it fails is the spectrum computed, and the decision rule is
-    unchanged: reject when the smallest eigenvalue lies below -tol.
+    Only on failure is the exact diagonal put back and the spectrum
+    computed; the rule is unchanged: reject when it lies below -tol.
     """
 
     mean: np.ndarray
@@ -97,34 +82,36 @@ class GaussianState:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
+        size = mean.size
+        if mean.ndim != 1 or size % 2 != 0 or size == 0:
             raise ValueError("mean must be a vector of even, positive length")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError("cov shape %s does not match mean length %d" % (cov.shape, mean.size))
-        # NaN and +-inf both fail big < inf, so big serves as the finiteness check of cov
+        if cov.shape != (size, size):
+            raise ValueError("cov shape %s does not match mean length %d" % (cov.shape, size))
+        # entries above half the largest double overflow to inf, and inf - inf is NaN: the max below rejects both
+        with np.errstate(over="ignore", invalid="ignore"):
+            asym = np.abs(cov - cov.T).max()
+            cov = 0.5 * (cov + cov.T)
+        # NaN and +-inf both fail big < inf, so big is the one finiteness check of cov
         big = np.abs(cov).max()
         if not (big < np.inf and np.all(np.isfinite(mean))):
             raise ValueError("mean and covariance must be finite")
         # rounding in S (cov - I/4) S^T grows with |cov|, so both tolerances are relative
         sym_tol = _SYM_TOL * max(1.0, big)
-        if np.max(np.abs(cov - cov.T)) > sym_tol:
+        if asym > sym_tol:
             raise ValueError("covariance matrix is not symmetric within %g" % sym_tol)
-        # entries above half the largest double overflow here; the max below rejects that inf
-        with np.errstate(over="ignore"):
-            cov = 0.5 * (cov + cov.T)
-        big = np.abs(cov).max()
-        if not big < np.inf:
-            raise ValueError("mean and covariance must be finite")
-        # uncertainty relation: cov + i*Omega/4 must be PSD ([x, p] = i/2)
-        i_omega = _i_omega_over_4(mean.size // 2)
+        # uncertainty relation: cov + i*Omega/4 must be PSD ([x, p] = i/2); i/4 goes to (2k, 2k+1), -i/4 to (2k+1, 2k)
+        herm = cov.astype(complex)
+        flat = herm.reshape(-1)
+        flat[1 :: 2 * size + 2] += 1j * VACUUM_VARIANCE
+        flat[size :: 2 * size + 2] -= 1j * VACUUM_VARIANCE
         tol = _PSD_TOL * max(1.0, big)
-        shifted = cov + i_omega
-        shifted.reshape(-1)[:: mean.size + 1] += 0.5 * tol
+        flat[:: size + 1] += 0.5 * tol
         try:
             # success proves min eig > -tol: Cholesky's backward error is far below tol/2
-            np.linalg.cholesky(shifted)
+            np.linalg.cholesky(herm)
         except np.linalg.LinAlgError:
-            min_eig = np.linalg.eigvalsh(cov + i_omega).min()
+            flat[:: size + 1] = cov.diagonal()
+            min_eig = np.linalg.eigvalsh(herm).min()
             if min_eig < -tol:
                 raise ValueError("covariance violates the uncertainty relation (min eig %g)" % min_eig) from None
         object.__setattr__(self, "mean", mean)

@@ -331,7 +331,7 @@ def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
 @lru_cache(maxsize=_TIME_SLOT_BLOCKS)
 def _time_slots(rate: float, start: int, stop: int) -> np.ndarray:
     """Read-only :func:`_g9_slots` of the time stamps ``np.arange(start, stop) / rate``."""
-    out = np.zeros((stop - start, 3), dtype="<u8")
+    out = np.empty((stop - start, 3), dtype="<u8")
     _g9_slots(np.arange(start, stop) / rate, out)
     out.flags.writeable = False
     return out

@@ -180,6 +180,13 @@ class TestElementPattern:
         assert np.all(np.diff(vals) < 0)
         np.testing.assert_allclose(vals, element_pattern(GEO, -thetas))
 
+    @pytest.mark.parametrize("fwhm", [1e-300, 5e-324])
+    def test_tiny_width_is_a_quiet_step(self, fwhm):
+        # (theta / fwhm)^2 overflows off axis, which warned; the pattern is exactly 0 there and 1 on axis
+        geo = ApertureGeometry(element_pattern_fwhm_deg=fwhm)
+        assert element_pattern(geo, 1.0) == 0.0
+        np.testing.assert_array_equal(element_pattern(geo, np.array([-1.0, 0.0, 1.0])), [0.0, 1.0, 0.0])
+
 
 class TestGeometryValidation:
     def test_pitch_below_width_rejected(self):

@@ -15,7 +15,6 @@ from qpasim.gaussian import (
     lossy_squeezed_variances,
     quadrature_variance,
     squeezed_vacuum,
-    symplectic_form,
     vacuum,
 )
 from qpasim.receiver import combine_rf
@@ -357,6 +356,15 @@ class TestStateValidation:
         for cov in (0.01 * np.eye(2), 0.2 * np.eye(2), np.diag([0.1, 0.2])):
             with pytest.raises(ValueError, match=r"uncertainty relation \(min eig "):
                 GaussianState(mean=np.zeros(2), cov=cov)
+        # 32 modes, vacuum but for mode k squeezed in x without enough noise in p (det 0.05 < 1/16): its min eig is
+        # 0.3 - sqrt(0.2^2 + 1/16) only if the i/4 and -i/4 of mode k's block are in place; the first, middle and
+        # last blocks check both ends of the strided writes
+        min_eig = re.escape("(min eig %g)" % (0.3 - np.sqrt(0.1025)))
+        for k in (0, 16, 31):
+            cov = 0.25 * np.eye(64)
+            cov[2 * k, 2 * k], cov[2 * k + 1, 2 * k + 1] = 0.1, 0.5
+            with pytest.raises(ValueError, match="uncertainty relation " + min_eig):
+                GaussianState(mean=np.zeros(64), cov=cov)
 
     @pytest.mark.parametrize("n_modes, draws", [(1, 60), (2, 40), (4, 30), (8, 20), (32, 10)])
     def test_accepts_exactly_when_min_eig_within_tol(self, n_modes, draws):
@@ -364,7 +372,7 @@ class TestStateValidation:
         rng = np.random.default_rng(900 + n_modes)
         verdicts = []
         for cov in boundary_covs(rng, n_modes, draws):
-            herm = cov + 0.25j * symplectic_form(n_modes)
+            herm = cov + 0.25j * np.kron(np.eye(n_modes), [[0, 1], [-1, 0]])
             physical = np.linalg.eigvalsh(herm).min() >= -PSD_TOL * max(1.0, np.abs(cov).max())
             if physical:
                 GaussianState(mean=np.zeros(2 * n_modes), cov=cov)
@@ -405,19 +413,3 @@ class TestStateValidation:
         cov[0, 1] += 1e-6 * scale
         with pytest.raises(ValueError, match="not symmetric within %s" % re.escape("%g" % (1e-12 * scale))):
             GaussianState(mean=np.zeros(4), cov=cov)
-
-    def test_symplectic_form_blocks(self):
-        omega = symplectic_form(2)
-        expected = np.array(
-            [
-                [0, 1, 0, 0],
-                [-1, 0, 0, 0],
-                [0, 0, 0, 1],
-                [0, 0, -1, 0],
-            ],
-            dtype=float,
-        )
-        np.testing.assert_array_equal(omega, expected)
-        # every call hands out a fresh, writable array
-        omega[0, 1] = 5.0
-        np.testing.assert_array_equal(symplectic_form(2), expected)

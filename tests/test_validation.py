@@ -16,7 +16,6 @@ from qpasim.gaussian import (
     lossy_squeezed_variances,
     quadrature_variance,
     squeezed_vacuum,
-    symplectic_form,
     vacuum,
 )
 from qpasim.receiver import (
@@ -59,6 +58,11 @@ def _nan_field_cases():
     # 1e200 squares to inf: combine_rf returned the vacuum for it and geometric_efficiency NaN
     yield pytest.param(ChannelSettings, {"gains": [1e200, 1.0], "phases": [0.0, 0.0]},
                        id="ChannelSettings.gains.overflow")
+    # subnormal power: 3e-162 gave geometric_efficiency 0.500 for 0.597, and 1e-160 made combine_rf raise "amplify"
+    yield pytest.param(ChannelSettings, {"gains": [3e-162, 0.0], "phases": [0.0, 0.0]},
+                       id="ChannelSettings.gains.subnormal")
+    yield pytest.param(ChannelSettings, {"gains": [1e-160, 0.0], "phases": [0.0, 0.0]},
+                       id="ChannelSettings.gains.subnormal_square")
     yield pytest.param(efficiency, {"gains": tiny}, id="geometric_efficiency.gains.underflow")
     yield pytest.param(CouplingVector, {"c": [[0.1, 0.2]]}, id="CouplingVector.c.2-D")
     yield pytest.param(CouplingVector, {"c": []}, id="CouplingVector.c.empty")
@@ -85,6 +89,8 @@ def _nan_field_cases():
     # 1e300 degrees overflowed in element_pattern, and without -W error gave all-zero couplings and no miss warning
     yield pytest.param(BeamSpec, {"incidence_angle_deg": 1e300}, id="BeamSpec.incidence_angle_deg.overflow")
     yield pytest.param(BeamSpec, {"incidence_angle_deg": -90.0}, id="BeamSpec.incidence_angle_deg.grazing")
+    # (pi w^2 / 8) ** 0.25 raised OverflowError in coupling_vector
+    yield pytest.param(BeamSpec, {"diameter_um": 1e160}, id="BeamSpec.diameter_um.square_overflows")
     yield pytest.param(lossy_squeezed_variances, {"r": 0.5, "eta": 1.5}, id="lossy_squeezed_variances.eta")
 
 
@@ -155,9 +161,8 @@ def test_malformed_record_rejected(field, value):
     # 1.5 raised TypeError from np.zeros, True built a 1-mode state and 0 raised NumPy's "new_shape" error
     lambda: vacuum(1.5),
     lambda: vacuum(True),
-    lambda: symplectic_form(0),
 ], ids=["PhaseRamp.times.fractional", "PhaseRamp.times.bool", "PhaseRamp.times.negative", "vacuum.fractional",
-        "vacuum.bool", "symplectic_form.zero"])
+        "vacuum.bool"])
 def test_malformed_count_rejected(make):
     with pytest.raises(ValueError, match="n_samples|n_modes"):
         make()
