@@ -104,20 +104,21 @@ class BeamSpec:
         return self.diameter_um / 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelSettings:
     """Per-channel RF gains and net phases: 1-D, of one length, finite; gains >= 0 with DBL_MIN <= sum(gains**2) < inf.
 
     The power sum, not any(gains > 0), also rejects no gains and gains whose squares overflow, underflow to 0
     (1e-200) or are subnormal (3e-162), where they have lost precision: DBL_MIN is the smallest normal double.
+    Frozen, and both arrays are copies, so the rule holds for the settings' whole life.
     """
 
     gains: np.ndarray
     phases: np.ndarray
 
     def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=float)
-        self.phases = np.asarray(self.phases, dtype=float)
+        object.__setattr__(self, "gains", np.array(self.gains, dtype=float))
+        object.__setattr__(self, "phases", np.array(self.phases, dtype=float))
         if self.gains.shape != self.phases.shape or self.gains.ndim != 1:
             raise ValueError("gains and phases must be 1-D vectors of equal length")
         if not (np.all((self.gains >= 0) & (self.gains < np.inf)) and np.all(np.isfinite(self.phases))):
@@ -136,12 +137,12 @@ class ChannelSettings:
 
 @dataclass(frozen=True)
 class CouplingVector:
-    """Complex per-antenna coupling amplitudes of the incident beam: a non-empty 1-D vector with sum |c|^2 <= 1."""
+    """Complex per-antenna coupling amplitudes of the incident beam: a copied, non-empty 1-D vector, sum |c|^2 <= 1."""
 
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=complex)
+        c = np.array(self.c, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("couplings must be a non-empty 1-D vector")
         if not np.sum(np.abs(c) ** 2) <= 1.0 + 1e-9:

@@ -52,7 +52,7 @@ class GaussianState:
     Parameters
     ----------
     mean : array_like, shape (2n,)
-        First moments in (x1, p1, ..., xn, pn) ordering.
+        First moments in (x1, p1, ..., xn, pn) ordering; stored as a copy.
     cov : array_like, shape (2n, 2n)
         Symmetric covariance matrix in quadrature-variance units.
 
@@ -80,7 +80,7 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
+        mean = np.array(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         size = mean.size
         if mean.ndim != 1 or size % 2 != 0 or size == 0:

@@ -38,6 +38,8 @@ _CSV_BLOCK = 2048
 # time-slot blocks cached per process (3 MiB at 2048 rows); every block's times come from the cache, so a record
 # longer than _TIME_SLOT_BLOCKS * _CSV_BLOCK rows just evicts the least recently used blocks
 _TIME_SLOT_BLOCKS = 64
+# the sampling-rate floor of PhaseRamp and MeasurementRecord, about 1.03e-289 Hz
+_MIN_RATE = 2.0**64 / np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -63,40 +65,38 @@ class ReceiverModel:
 
 @dataclass(frozen=True)
 class PhaseRamp:
-    """Linear LO phase ramp: theta(t) = 2 pi frequency t."""
+    """Linear LO phase ramp: theta(t) = 2 pi frequency t; frozen.
+
+    ``sampling_rate`` is finite, above twice the ramp frequency and at least 2^64 / DBL_MAX (about 1.03e-289 Hz),
+    so the last stamp (n - 1) / sampling_rate of any array NumPy can index (n <= 2^63) is at most DBL_MAX / 2.
+    """
 
     frequency_hz: float = 0.5
     duration_s: float = 1.0
     sampling_rate: float = 20e6
 
     def __post_init__(self):
-        if not 2 * abs(self.frequency_hz) < self.sampling_rate < np.inf:
-            raise ValueError("sampling_rate must be finite and exceed twice the ramp frequency")
+        if not (_MIN_RATE <= self.sampling_rate < np.inf and 2 * abs(self.frequency_hz) < self.sampling_rate):
+            raise ValueError("sampling_rate must be finite, >= %g and exceed twice the ramp frequency" % _MIN_RATE)
         if not 0 < self.duration_s < np.inf:
             raise ValueError("duration must be finite and positive")
 
     def times(self, n_samples: int) -> np.ndarray:
         if not _integer(n_samples, "n_samples") >= 0:
             raise ValueError("n_samples must be >= 0")
-        _check_time_axis(n_samples, self.sampling_rate)
         return np.arange(n_samples) / self.sampling_rate
 
     def phase(self, t: np.ndarray) -> np.ndarray:
         return 2 * np.pi * self.frequency_hz * np.asarray(t)
 
 
-def _check_time_axis(n_samples: int, sampling_rate: float) -> None:
-    """Reject a rate at which the last time stamp, (n_samples - 1) / sampling_rate, overflows.
-
-    Python float division overflows to inf without NumPy's RuntimeWarning.
-    """
-    if not (n_samples - 1) / float(sampling_rate) < np.inf:
-        raise ValueError("sampling_rate %r makes a time axis of %d samples overflow" % (sampling_rate, n_samples))
-
-
-@dataclass
+@dataclass(frozen=True)
 class MeasurementRecord:
-    """Seeded, time-stamped quadrature voltage samples of one channel, read at LO offset ``lo_phase``."""
+    """Seeded, time-stamped quadrature voltage samples of one channel, read at LO offset ``lo_phase``; frozen.
+
+    ``sampling_rate`` has the floor of :class:`PhaseRamp`, so every stamp k / sampling_rate is finite.  A float
+    ``samples`` array is kept, not copied (32 records of 8 MiB would be held twice): writing into it changes the record.
+    """
 
     channel: int
     samples: np.ndarray
@@ -106,16 +106,14 @@ class MeasurementRecord:
 
     def __post_init__(self):
         # every check is written so that NaN fails it
-        self.channel = _integer(self.channel, "channel")
+        object.__setattr__(self, "channel", _integer(self.channel, "channel"))
         if not _integer(self.seed, "seed") >= 0:
             raise ValueError("seed must be >= 0")
-        self.samples = np.asarray(self.samples, dtype=float)
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1:
             raise ValueError("samples must be a 1-D array")
-        if not 0 < self.sampling_rate < np.inf:
-            raise ValueError("sampling_rate must be finite and positive")
-        # the writers stamp sample k at k / sampling_rate, so the last stamp must be finite too
-        _check_time_axis(self.samples.size, self.sampling_rate)
+        if not _MIN_RATE <= self.sampling_rate < np.inf:
+            raise ValueError("sampling_rate must be finite and >= %g" % _MIN_RATE)
         if not -np.inf < self.lo_phase < np.inf:
             raise ValueError("lo_phase must be finite")
 
@@ -174,8 +172,6 @@ def sample_pixel_streams(
         raise ValueError("lo_phases must be finite")
     if not _integer(n_samples, "n_samples") >= 1:
         raise ValueError("n_samples must be >= 1")
-    # the sampler stamps sample k at k / sampling_rate too; check the last stamp before any allocation
-    _check_time_axis(n_samples, ramp.sampling_rate)
     sigma = np.sqrt(VACUUM_VARIANCE + electronic_noise_variance(ReceiverModel(snc_db=snc_db)))
     sx, sp = np.sqrt(lossy_squeezed_variances(r, 1.0))
     # channel_rng checks master_seed before any allocation; the source draws x from gens[0], p from its copy gens[1]

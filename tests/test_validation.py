@@ -18,6 +18,7 @@ from qpasim.gaussian import (
     squeezed_vacuum,
     vacuum,
 )
+from qpasim import receiver
 from qpasim.receiver import (
     MeasurementRecord,
     PhaseRamp,
@@ -116,9 +117,6 @@ def test_nan_field_rejected(make, kwargs):
     pytest.param({"couplings": []}, id="couplings.empty"),
     # e^{2r} overflows: r = 400 failed only in GaussianState, after an overflow warning
     pytest.param({"r": 400.0}, id="r.overflows"),
-    # (3 - 1) / 1e-310 overflows, which NumPy only warns about when it time-stamps the samples
-    pytest.param({"ramp": PhaseRamp(frequency_hz=0.0, sampling_rate=1e-310), "n_samples": 3},
-                 id="ramp.time-axis-overflows"),
 ], ids=lambda kw: next(iter(kw)))
 def test_sample_pixel_streams_rejects_nan(kwargs):
     args = dict(couplings=[0.1, 0.2], r=0.5, ramp=PhaseRamp(), n_samples=16, master_seed=1)
@@ -169,8 +167,48 @@ def test_malformed_count_rejected(make):
 
 
 def test_ramp_times_reject_an_overflowing_time_axis():
-    with pytest.raises(ValueError, match="overflow"):
-        PhaseRamp(frequency_hz=0.0, sampling_rate=1e-310).times(3)
+    # (3 - 1) / 1e-310 overflows; the ramp that owns the rate rejects it before any axis is stamped
+    with pytest.raises(ValueError, match="sampling_rate"):
+        PhaseRamp(frequency_hz=0.0, sampling_rate=1e-310)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rate: PhaseRamp(frequency_hz=0.0, sampling_rate=rate),
+    lambda rate: MeasurementRecord(channel=0, samples=np.zeros(3), seed=1, sampling_rate=rate),
+], ids=["PhaseRamp", "MeasurementRecord"])
+def test_sampling_rate_floor_is_exact(make):
+    floor = receiver._MIN_RATE
+    assert make(floor).sampling_rate == floor
+    with pytest.raises(ValueError, match="sampling_rate"):
+        make(np.nextafter(floor, 0))
+    # at the floor the last stamp of the longest array NumPy can index, (2^63 - 1) / rate, is finite
+    assert 2.0**63 / floor < np.finfo(float).max
+    assert np.all(np.isfinite(PhaseRamp(0.0, sampling_rate=floor).times(3)))
+
+
+@pytest.mark.parametrize("make, field, dtype", [
+    pytest.param(lambda a: ChannelSettings(a, np.zeros(2)), "gains", float, id="ChannelSettings.gains"),
+    pytest.param(lambda a: ChannelSettings(np.ones(2), a), "phases", float, id="ChannelSettings.phases"),
+    pytest.param(CouplingVector, "c", complex, id="CouplingVector.c"),
+    pytest.param(lambda a: GaussianState(a, 0.25 * np.eye(2)), "mean", float, id="GaussianState.mean"),
+])
+def test_owner_copies_its_input(make, field, dtype):
+    # writing into the caller's array after construction left NaN gains, an inf mean and sum |c|^2 = 50
+    given = np.full(2, 0.1, dtype=dtype)
+    owner = make(given)
+    given[:] = NAN
+    assert np.array_equal(getattr(owner, field), np.full(2, 0.1, dtype=dtype))
+
+
+@pytest.mark.parametrize("owner, field, value", [
+    pytest.param(ChannelSettings([1.0, 1.0], [0.0, 0.0]), "gains", np.array([NAN, 1.0]), id="ChannelSettings.gains"),
+    pytest.param(MeasurementRecord(channel=0, samples=np.zeros(3), seed=1, sampling_rate=20e6), "sampling_rate", NAN,
+                 id="MeasurementRecord.sampling_rate"),
+])
+def test_owner_fields_are_frozen(owner, field, value):
+    # an assigned field skipped its owner's rule: NaN gains made geometric_efficiency return NaN
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(owner, field, value)
 
 
 @pytest.mark.parametrize("kwargs", [
