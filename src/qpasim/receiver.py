@@ -301,7 +301,8 @@ def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
     """Serialize records as ``time_s,channel,voltage`` rows, formatted ``%.9g,%d,%.9g``.
 
     The bytes are those of ``"%.9g,%d,%.9g\\n" % (t, channel, v)`` row by row.  NumPy formats each value
-    but those it cannot prove, which Python formats: a scaled 9th-digit tie, NaN, inf, |v| outside [1e-13, 1e22).
+    but those it cannot prove, which Python formats: a scaled 9th-digit tie, a carry to the next decade, NaN,
+    inf, |v| outside [1e-13, 10).
     Sample k is stamped k / sampling_rate, so records at one rate share their time column: every block takes its
     time slots from the one cache of :func:`_time_slots`, which a long record cycles through.
     """
@@ -334,74 +335,65 @@ def _time_slots(rate: float, start: int, stop: int) -> np.ndarray:
 
 
 def _g9_tables():
-    """Per decimal exponent e in [-14, 23] (every e that floor(log10) or a carry gives), at index e + 14.
+    """Per decimal exponent e in [-14, 1] (every e that floor(log10) gives below 10, off by one), at index e + 14.
 
-    ``mul`` and ``div`` scale to 9 integer digits: 10^(8-e) as a multiplier and as a divisor, one of them 1,
-    both exact.  The others build a slot: ``low`` masks the digits before the point in the word of digits
-    d1..d8, ``dot`` is the point after them, ``lead`` the "0." to "0.000" prefix of fixed notation below 1
-    (bytes 1-5 of word 0) and ``tail`` the "e+XX" suffix of exponent notation (bytes 1-4 of word 2).
+    ``mul`` is the exact power of ten 10^(8-e) that scales to 9 integer digits.  The others build a slot:
+    ``dot`` is the point after the leading digit (byte 7 of word 0), except in fixed notation below 1, whose
+    ``lead`` holds the "0." to "0.000" prefix instead (bytes 1-5 of word 0), and ``tail`` the "e-XX" suffix of
+    exponent notation (bytes 0-3 of word 2).
     Per 4-digit group i < 10^4, ``digits`` is the ASCII of "%04d" % i: byte p is i // 10^(3-p) % 10.
     ``keep`` masks its bytes up to its last nonzero digit: byte p while i % 10^(4-p) != 0.
     """
-    mul, div, low, dot, lead, tail = [], [], [], [], [], []
-    for e in range(-14, 24):
-        fixed = -4 <= e < 9
-        point = e if fixed and e >= 0 else 0
-        mul.append(float(10 ** max(8 - e, 0)))
-        div.append(float(10 ** max(e - 8, 0)))
-        low.append((1 << 8 * point) - 1)
-        dot.append(0 if fixed and e < 0 or point == 8 else ord(".") << 8 * point)
-        lead.append(int.from_bytes(b"\0" + b"0.000"[:1 - e] if fixed and e < 0 else b"", "little"))
-        tail.append(0 if fixed else int.from_bytes(b"\0" + b"e%+03d" % e, "little"))
+    mul, dot, lead, tail = [], [], [], []
+    for e in range(-14, 2):
+        below = -4 <= e < 0  # fixed notation below 1
+        mul.append(float(10 ** (8 - e)))
+        dot.append(0 if below else ord(".") << 56)
+        lead.append(int.from_bytes(b"\0" + b"0.000"[:1 - e] if below else b"", "little"))
+        tail.append(int.from_bytes(b"e%+03d" % e, "little") if e < -4 else 0)
     i = np.arange(10**4)
     digits = sum((i // 10 ** (3 - p) % 10 + ord("0")) << 8 * p for p in range(4))
     keep = sum((i % 10 ** (4 - p) != 0) * (0xFF << 8 * p) for p in range(4))
-    return np.array(mul), np.array(div), *(np.array(t, dtype=np.uint64) for t in (low, dot, lead, tail, digits, keep))
+    return np.array(mul), *(np.array(t, dtype=np.uint64) for t in (dot, lead, tail, digits, keep))
 
 
-_G9_MUL, _G9_DIV, _G9_LOW, _G9_DOT, _G9_LEAD, _G9_TAIL, _G9_DIGITS, _G9_KEEP = _g9_tables()
+_G9_MUL, _G9_DOT, _G9_LEAD, _G9_TAIL, _G9_DIGITS, _G9_KEEP = _g9_tables()
 _NEWLINE = np.uint64(ord("\n") << 56)
 
 
 def _g9_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``"%.9g" % x[i]`` as 24 NUL-padded ASCII bytes into the three uint64 words ``out[i]``.
 
-    For finite 1e-13 <= |x| < 1e22, m = |x| 10^(8-e) is one correctly rounded product by an exact power
-    of ten.  Rounding is monotone and integers and half-integers below 2^30 are doubles, so for m in
-    [1e8, 1e9) rounding m half up gives the correctly rounded 9 digits of |x| unless m is itself a
-    half-integer.  Those values, a floor(log10) that missed (m outside [1e8, 1e9)), NaN, infinities and
-    the rest of the range are formatted by Python.  Returns the indices of the values Python formatted.
+    The package writes samples of order 1 and time stamps below 1 s, so NumPy formats finite
+    1e-13 <= |x| < 10, where the point, if any, follows the leading digit.  There m = |x| 10^(8-e) is one
+    correctly rounded product by an exact power of ten.  Rounding is monotone and integers and half-integers
+    below 2^30 are doubles, so for m in [1e8, 1e9) rounding m half up gives the correctly rounded 9 digits of
+    |x| unless m is itself a half-integer.  Those values, a floor(log10) that missed (m outside [1e8, 1e9)),
+    an m that rounds up to 1e9 (a carry to the next decade), zero, NaN, infinities and |x| >= 10 are
+    formatted by Python.  Returns the indices of the values Python formatted.
 
-    Word 0 holds the sign, the prefix below 1 and the leading digit; word 1 the other 8 digits, the point
-    shifted in after the digits before it; word 2 the digit the point pushed out, then the exponent, in
-    bytes 0-4.  Python's text is at most 15 bytes, so byte 7 of word 2 is always NUL: the CSV writer puts its
-    "\\n" there.  Digits are split in np.intp, words built in np.uint64: NumPy 1.24 promotes uint64 mixed with
-    int64 to float64.
+    Word 0 holds the sign, the prefix below 1, the leading digit and the point; word 1 the other 8 digits;
+    word 2 the exponent, in bytes 0-3.  Python's text is at most 16 bytes, so byte 7 of word 2 is always NUL:
+    the CSV writer puts its "\\n" there.  Digits are split in np.intp, words built in np.uint64: NumPy 1.24
+    promotes uint64 mixed with int64 to float64.
     """
     u = np.uint64
     a = np.abs(x)
-    zero = a == 0
     fast = a >= 1e-13
-    fast &= a < 1e22
+    fast &= a < 10
     np.copyto(a, 1.0, where=~fast)
     # a floor(log10) that missed puts m outside [1e8, 1e9), or on 1e8 itself, which rounds alike
     m = np.log10(a)
     k = np.floor(m, out=m).astype(np.intp)
     k += 14
     np.multiply(a, _G9_MUL[k], out=m)
-    m /= _G9_DIV[k]
     r = np.floor(m, out=a)
     frac = m - r
     ok = frac != 0.5
     ok &= m >= 1e8
-    ok &= m < 1e9
+    ok &= m < 999999999.5
     ok &= fast
-    ok |= zero
     r += frac > 0.5
-    r *= fast  # zero prints as "0" or "-0"
-    carry = r >= 1e9
-    np.subtract(r, 9e8, out=r, where=carry)
-    k += carry
     # the leading digit d0, then the 8 digits after it as two 4-digit groups, each looked up as ASCII
     d = r.astype(np.intp)
     d0 = d // 10**8
@@ -409,16 +401,11 @@ def _g9_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     hi = d // 10**4
     lo = d - hi * 10**4
     w = _G9_DIGITS[hi] | _G9_DIGITS[lo] << u(32)
-    # keep every digit up to the last nonzero one and every digit before the point; the rest become NUL
-    low = _G9_LOW[k]
-    w &= np.where(lo != 0, _G9_KEEP[lo] << u(32) | u(0xFFFFFFFF), _G9_KEEP[hi]) | low
-    frac = w & ~low
-    w &= low
-    w |= frac << u(8)
-    w |= _G9_DOT[k] * (frac != 0)
+    # keep every digit up to the last nonzero one; the rest become NUL
+    w &= np.where(lo != 0, _G9_KEEP[lo] << u(32) | u(0xFFFFFFFF), _G9_KEEP[hi])
     out[:, 1] = w
-    out[:, 2] = frac >> u(56) | _G9_TAIL[k]
-    out[:, 0] = (d0 + ord("0")).astype(u) << u(48) | _G9_LEAD[k] | np.signbit(x) * u(ord("-"))
+    out[:, 2] = _G9_TAIL[k]
+    out[:, 0] = (d0 + ord("0")).astype(u) << u(48) | _G9_LEAD[k] | _G9_DOT[k] * (d != 0) | np.signbit(x) * u(ord("-"))
     slow = np.flatnonzero(~ok)
     for i in slow:
         out[i] = np.frombuffer(("%.9g" % x[i]).encode("ascii").ljust(24, b"\0"), dtype="<u8")

@@ -473,7 +473,8 @@ def adversarial_values():
     digits = np.random.default_rng(5).integers(10**8, 10**9, 24)
     ties = np.concatenate([(digits + 0.5) * 10.0 ** j for j in range(-24, 24)])
     switches = np.array([1e-4, 1e9, 9.99999999e-5, 9.999999995e-5, 999999999.0, 999999999.5, 999999999.6,
-                         1e-13, 1e22, 9.9999999949e21, 0.5, 1.0, 5e-324, 2.2250738585072014e-308, 1.8e308])
+                         1e-13, 1e22, 9.9999999949e21, 0.5, 1.0, 5e-324, 2.2250738585072014e-308, 1.8e308,
+                         9.99999999, 9.999999995, 9.9999999949, 10.0])
     hi = np.arange(10**4)
     groups = np.concatenate([10**8 + 10**4 * hi + (9999 - hi), 10**8 + 10**4 * hi]).astype(float)
     scaled = [groups / 10.0 ** (8 - e) if e < 8 else groups * 10.0 ** (e - 8) for e in (0, 4, -3, 12, -7)]
@@ -510,6 +511,17 @@ def test_csv_formats_ordinary_data_in_numpy():
     text, n_python = g9(values)
     assert n_python <= 10
     assert text == "".join("%.9g" % v for v in values)
+    # every time stamp of a 2^20-sample record at 20 MS/s but t = 0
+    stamps = np.arange(1, 2**20) / 20e6
+    text, n_python = g9(stamps)
+    assert n_python == 0
+    assert text == "".join("%.9g" % t for t in stamps)
+    # |x| >= 10 is outside the fast range
+    rng = np.random.default_rng(12)
+    large = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(1, 22, 1000)
+    text, n_python = g9(large)
+    assert n_python == large.size
+    assert text == "".join("%.9g" % v for v in large)
 
 
 @pytest.mark.parametrize("miss", [-1, 1])
