@@ -24,7 +24,12 @@ MODE_PROFILES = ("comb", "tophat")
 
 @dataclass(frozen=True)
 class ApertureGeometry:
-    """Linear antenna array geometry and per-antenna parameters."""
+    """Linear antenna array geometry; frozen: counts are integers >= 1, lengths and the fwhm finite and positive.
+
+    The pitch is at least the antenna width, ``mode_profile`` is in ``MODE_PROFILES`` and a comb's strips fit in the
+    antenna.  2e3 pi / DBL_MAX <= wavelength_nm < inf keeps the wavenumber finite, and 0 <= insertion_loss_db <
+    20 log10(DBL_MAX), about 6165.09 dB, the de-embedding factor 10^(IL/20).
+    """
 
     n_antennas: int = 32
     pitch_um: float = 17.5
@@ -40,12 +45,13 @@ class ApertureGeometry:
         # every check is written so that NaN fails it
         if not _integer(self.n_antennas, "n_antennas") >= 1:
             raise ValueError("n_antennas must be >= 1")
-        for name in ("pitch_um", "antenna_width_um", "wavelength_nm",
-                     "element_pattern_fwhm_deg", "waveguide_width_um"):
+        for name in ("pitch_um", "antenna_width_um", "element_pattern_fwhm_deg", "waveguide_width_um"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError("%s must be finite and positive" % name)
-        if not 0 <= self.insertion_loss_db < np.inf:
-            raise ValueError("insertion_loss_db must be finite and >= 0")
+        if not 2e3 * np.pi / np.finfo(float).max <= self.wavelength_nm < np.inf:
+            raise ValueError("wavelength_nm must be finite with a finite wavenumber: 2e3 pi / DBL_MAX <= wavelength_nm")
+        if not 0 <= self.insertion_loss_db < 20 * np.log10(np.finfo(float).max):
+            raise ValueError("insertion_loss_db must be >= 0 with a finite 10^(IL/20): IL < 20 log10(DBL_MAX)")
         if not self.pitch_um >= self.antenna_width_um:
             raise ValueError("pitch must be at least the antenna width")
         if self.mode_profile not in MODE_PROFILES:

@@ -131,11 +131,10 @@ def electronic_noise_variance(model: ReceiverModel) -> float:
 
 
 def channel_effective_efficiency(c_j: complex, model: ReceiverModel) -> float:
-    """Channel efficiency |c_j|^2 10^(-(chip_loss_db + collimator_loss_db) / 10); c_j carries the antenna's losses."""
-    if not abs(c_j) <= 1.0:
-        raise ValueError("c_j must be finite with |c_j| <= 1")
+    """Efficiency min(1, |c_j|^2 10^(-(chip_loss_db + collimator_loss_db) / 10)), c_j bounded by CouplingVector."""
+    CouplingVector([c_j])
     loss_db = model.chip_loss_db + model.collimator_loss_db
-    return float(np.abs(c_j) ** 2 * np.power(10.0, -loss_db / 10))
+    return min(1.0, float(np.abs(c_j) ** 2 * np.power(10.0, -loss_db / 10)))
 
 
 def sample_pixel_streams(
@@ -160,16 +159,14 @@ def sample_pixel_streams(
     sign is opposite to the RF phase: to stream what ``combine_rf(state, settings)`` forms from the state, pass
     ``lo_phases=-settings.phases`` and combine the records with the same ``settings``.
 
-    The owners of the inputs check them before any output is allocated: :class:`CouplingVector` the couplings
-    (non-empty, 1-D, sum |c|^2 <= 1), :class:`SqueezedVacuumSpec` ``r`` and :func:`channel_rng` ``master_seed``.
+    The owners of the inputs check them: :class:`CouplingVector` the couplings, :class:`SqueezedVacuumSpec` ``r`` and
+    :func:`channel_rng` ``master_seed`` before any output is allocated, each :class:`MeasurementRecord` its LO offset.
     """
     c = CouplingVector(couplings).c
     n_ch = c.size
     offsets = np.zeros(n_ch) if lo_phases is None else np.asarray(lo_phases, dtype=float)
     if offsets.shape != c.shape:
         raise ValueError("couplings and lo_phases must be 1-D vectors of equal length")
-    if not np.all(np.isfinite(offsets)):
-        raise ValueError("lo_phases must be finite")
     if not _integer(n_samples, "n_samples") >= 1:
         raise ValueError("n_samples must be >= 1")
     sigma = np.sqrt(VACUUM_VARIANCE + electronic_noise_variance(ReceiverModel(snc_db=snc_db)))
@@ -177,7 +174,8 @@ def sample_pixel_streams(
     # channel_rng checks master_seed before any allocation; the source draws x from gens[0], p from its copy gens[1]
     gens = [channel_rng(master_seed, n_ch) for _ in range(2)] + [channel_rng(master_seed, j) for j in range(n_ch)]
     # the outputs come before the block scratch: the other order put acquisition's peak RSS 5 MB higher (heap layout)
-    streams = [np.empty(n_samples) for _ in range(n_ch)]
+    records = [MeasurementRecord(channel=j, samples=np.empty(n_samples), seed=master_seed,
+                                 sampling_rate=ramp.sampling_rate, lo_phase=float(offsets[j])) for j in range(n_ch)]
     chunk = min(_CHUNK, n_samples)
     workers = _WORKERS if n_samples > chunk else 1
     d = c * np.exp(-1j * offsets)
@@ -227,15 +225,14 @@ def sample_pixel_streams(
 
     for start in range(0, n_samples, chunk):
         m = min(chunk, n_samples - start)
-        block = [row[start:start + m] for row in streams]
+        block = [rec.samples[start:start + m] for rec in records]
         pairs = list(zip(gens, [xs[:m], ps[:m]] + block))
         _in_parallel([lambda g=pairs[w::workers]: draw(g) for w in range(workers)])
         # ramp.times(n_samples)[start:start + m], without the prefix
         theta = ramp.phase(np.arange(start, start + m) / ramp.sampling_rate)
         bounds = [m * w // workers for w in range(workers + 1)]
         _in_parallel([lambda s=s, e=e: mix(block, theta, s, e) for s, e in zip(bounds, bounds[1:])])
-    return [MeasurementRecord(channel=j, samples=samples, seed=master_seed, sampling_rate=ramp.sampling_rate,
-                              lo_phase=float(offsets[j])) for j, samples in enumerate(streams)]
+    return records
 
 
 def _in_parallel(tasks) -> None:

@@ -283,8 +283,14 @@ _db = st.floats(min_value=0.0, max_value=1e6)
     st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
     st.builds(ReceiverModel, snc_db=st.floats(min_value=0.0), chip_loss_db=_db, collimator_loss_db=_db),
 )
+# entries at CouplingVector's bound, |c|^2 <= 1 + 1e-9, which the sampler accepts: |c_j| <= 1 rejected them
+@example(CouplingVector([1 + 4e-10]).c[0], ReceiverModel(chip_loss_db=0.0, collimator_loss_db=0.0))
+@example(CouplingVector([(1 + 4e-10) * np.exp(0.3j)]).c[0], ReceiverModel(chip_loss_db=0.0, collimator_loss_db=0.0))
 def test_channel_effective_efficiency_within_unit_interval(c_j, model):
-    assert 0.0 <= channel_effective_efficiency(c_j, model) <= 1.0
+    eta = channel_effective_efficiency(c_j, model)
+    assert 0.0 <= eta <= 1.0
+    apply_loss(vacuum(1), 0, eta)
+    lossy_squeezed_variances(1.0, eta)
 
 
 @pytest.mark.parametrize("model, expected", [

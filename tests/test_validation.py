@@ -93,6 +93,14 @@ def _nan_field_cases():
     # (pi w^2 / 8) ** 0.25 raised OverflowError in coupling_vector
     yield pytest.param(BeamSpec, {"diameter_um": 1e160}, id="BeamSpec.diameter_um.square_overflows")
     yield pytest.param(lossy_squeezed_variances, {"r": 0.5, "eta": 1.5}, id="lossy_squeezed_variances.eta")
+    # at and above 20 log10(DBL_MAX) dB, 10^(IL/20) overflows: 1e4 dB gave all-zero couplings with no miss
+    # warning, and geometric_efficiency and matched_settings raised OverflowError
+    yield pytest.param(ApertureGeometry, {"insertion_loss_db": 20 * np.log10(np.finfo(float).max)},
+                       id="ApertureGeometry.insertion_loss_db.overflows")
+    # below 2e3 pi / DBL_MAX nm, 2 pi / (wavelength_nm * 1e-3) is inf: 1e-310 nm gave NaN couplings at any
+    # incidence, which CouplingVector rejected as a coupled power above unity
+    yield pytest.param(ApertureGeometry, {"wavelength_nm": np.nextafter(2e3 * np.pi / np.finfo(float).max, 0)},
+                       id="ApertureGeometry.wavelength_nm.underflows")
 
 
 @pytest.mark.parametrize("make, kwargs", _nan_field_cases())
@@ -105,6 +113,9 @@ def test_nan_field_rejected(make, kwargs):
     {"couplings": [0.1, NAN]},
     {"r": NAN},
     {"lo_phases": [0.0, NAN]},
+    # MeasurementRecord owns each channel's LO offset; the sampler has no finiteness check of its own
+    pytest.param({"lo_phases": [0.0, INF]}, id="lo_phases.inf"),
+    pytest.param({"lo_phases": [-INF, 0.0]}, id="lo_phases.neg_inf"),
     {"snc_db": NAN},
     pytest.param({"snc_db": -1.0}, id="snc_db.negative"),
     pytest.param({"n_samples": 2.5}, id="n_samples.fractional"),
