@@ -28,7 +28,10 @@ class ApertureGeometry:
 
     The pitch is at least the antenna width, ``mode_profile`` is in ``MODE_PROFILES`` and a comb's strips fit in the
     antenna.  2e3 pi / DBL_MAX <= wavelength_nm < inf keeps the wavenumber finite, and 0 <= insertion_loss_db <
-    20 log10(DBL_MAX), about 6165.09 dB, the de-embedding factor 10^(IL/20).
+    20 log10(DBL_MAX), about 6165.09 dB, the de-embedding factor 10^(IL/20).  The phase span wavenumber *
+    aperture_halfwidth_um is finite, so every tilt k x_j sin(theta) is, and aperture_halfwidth_um is at most 2^50 strip
+    widths (waveguide width for a comb, antenna width for a top-hat): rounding a strip's edges, each by at most 2^-53
+    of their size, leaves the strip at least 3/4 of its width.
     """
 
     n_antennas: int = 32
@@ -61,6 +64,12 @@ class ApertureGeometry:
                 raise ValueError("n_waveguides must be >= 1")
             if not self.n_waveguides * self.waveguide_width_um <= self.antenna_width_um + 1e-12:
                 raise ValueError("waveguides do not fit inside the antenna width")
+        strip = self.antenna_width_um if self.mode_profile == "tophat" else self.waveguide_width_um
+        with np.errstate(over="ignore"):
+            if not self.wavenumber * self.aperture_halfwidth_um < np.inf:
+                raise ValueError("wavelength_nm too short: wavenumber * aperture_halfwidth_um must be finite")
+            if not self.aperture_halfwidth_um <= 2.0**50 * strip:
+                raise ValueError("aperture_halfwidth_um must be at most 2^50 strip widths, or strip edges merge")
 
     @property
     def wavenumber(self) -> float:
@@ -201,7 +210,9 @@ def coupling_vector(geometry: ApertureGeometry, beam: BeamSpec) -> CouplingVecto
 
     segments = geometry.mode_segments(centers)
     w = beam.waist_um
-    cdf = _erf((segments - beam.center_offset_um) / w).astype(float)
+    # beam and geometry each own their bounds, but (edge - offset) / w may still overflow: erf(+-inf) = +-1 is exact
+    with np.errstate(over="ignore"):
+        cdf = _erf((segments - beam.center_offset_um) / w).astype(float)
     strips = np.sum(cdf[..., 1] - cdf[..., 0], axis=-1)
     widths = np.sum(segments[..., 1] - segments[..., 0], axis=-1)
     overlaps = (np.pi * w**2 / 8) ** 0.25 * strips / np.sqrt(widths)

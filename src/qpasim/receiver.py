@@ -153,7 +153,9 @@ def sample_pixel_streams(
     source plus vacuum, read at each channel's LO phase, plus electronic noise e.  With d = c e^{-i lo_phases},
     channel j is the shared source term Re(d_j) u + Im(d_j) v, where (u, v) are the source quadratures at the
     ramp phase, plus noise of covariance (1/4 + e) I - Re(d d^dag)/4: the vacuum entering channel j is
-    correlated with channel k's.  A single channel of efficiency eta is ``couplings=[sqrt(eta)]``.
+    correlated with channel k's.  A single channel of efficiency eta is ``couplings=[sqrt(eta)]``.  The record
+    that ``combine_rf`` forms from the streams of ``couplings=sqrt(kappa) c`` has the principal variances of
+    ``qpasim.chain.predict(c, kappa, r, settings, model)``, the oracle it is checked against.
 
     ``lo_phases`` offsets each channel's LO phase, which is how RF phase settings act on sample streams.  The
     sign is opposite to the RF phase: to stream what ``combine_rf(state, settings)`` forms from the state, pass

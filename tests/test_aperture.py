@@ -101,6 +101,21 @@ class TestCouplingVector:
                 assert err_fine < 1e-8
                 assert err_coarse / err_fine == pytest.approx(4.0, rel=0.01)
 
+    @pytest.mark.parametrize("geometry, beam, expected, rtol", [
+        # (edge - offset) / w overflowed to +-inf, where erf is exactly +-1: the whole beam lands on the strip
+        pytest.param(ApertureGeometry(n_antennas=1, pitch_um=1e300, antenna_width_um=1e300, mode_profile="tophat"),
+                     BeamSpec(diameter_um=1e-10), [(np.pi * 5e-11**2 / 8) ** 0.25 * 2 / 1e150 * 10 ** (-3.78 / 20)],
+                     1e-12, id="erf_argument_overflows"),
+        # at a pitch of 1e12 um the strip edges of antenna 20, rounded to 2^-10 um, stay apart: the beam couples
+        # as to a lone antenna, to within that rounding, and not at all to the others
+        pytest.param(ApertureGeometry(pitch_um=1e12), BeamSpec(center_offset_um=4.5e12),
+                     np.eye(32)[20] * coupling_vector(ApertureGeometry(n_antennas=1), BEAM).c[0], 2e-3,
+                     id="pitch_1e12"),
+    ])
+    def test_extreme_geometry_couples_quietly(self, geometry, beam, expected, rtol):
+        # filterwarnings = error turns any overflow or 0/0 in coupling_vector into a failure
+        np.testing.assert_allclose(coupling_vector(geometry, beam).c, expected, rtol=rtol, atol=0)
+
     def test_superunity_coupling_rejected(self):
         with pytest.raises(ValueError):
             CouplingVector(c=np.full(4, 0.6 + 0j))

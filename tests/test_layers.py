@@ -1,4 +1,5 @@
-"""The modules import in one direction only, gaussian <- aperture <- receiver, and none loads scipy or an executor."""
+"""The modules import in one direction only, gaussian <- aperture <- receiver <- chain, and none loads scipy or an
+executor."""
 
 import os
 import subprocess
@@ -20,8 +21,9 @@ def loaded_after_import(module):
 
 
 @pytest.mark.parametrize("module, forbidden", [
-    ("qpasim.gaussian", {"qpasim.aperture", "qpasim.receiver"}),
-    ("qpasim.aperture", {"qpasim.receiver"}),
+    ("qpasim.gaussian", {"qpasim.aperture", "qpasim.receiver", "qpasim.chain"}),
+    ("qpasim.aperture", {"qpasim.receiver", "qpasim.chain"}),
+    ("qpasim.receiver", {"qpasim.chain"}),
 ])
 def test_lower_layer_does_not_load_higher_ones(module, forbidden):
     loaded = loaded_after_import(module)
@@ -29,7 +31,7 @@ def test_lower_layer_does_not_load_higher_ones(module, forbidden):
     assert not loaded & forbidden
 
 
-@pytest.mark.parametrize("module", ["qpasim", "qpasim.aperture", "qpasim.receiver"])
+@pytest.mark.parametrize("module", ["qpasim", "qpasim.aperture", "qpasim.receiver", "qpasim.chain"])
 def test_import_loads_no_scipy(module):
     # importing scipy costs several times the benchmark's whole setup time, concurrent.futures about 6 ms of its 0.1 s;
     # the sampler's threads come from threading, which numpy loads anyway

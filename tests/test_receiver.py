@@ -11,10 +11,8 @@ from hypothesis.extra import numpy as hnp
 from qpasim.aperture import (ApertureGeometry, BeamSpec, ChannelSettings, CouplingVector, coupling_vector,
                              deembed_insertion_loss, matched_settings)
 from qpasim.gaussian import (
-    VACUUM_VARIANCE,
     GaussianState,
     SqueezedVacuumSpec,
-    apply_linear_network,
     apply_loss,
     lossy_squeezed_variances,
     quadrature_variance,
@@ -22,6 +20,7 @@ from qpasim.gaussian import (
     vacuum,
 )
 from qpasim import receiver
+from qpasim.chain import predict, source_state
 from qpasim.receiver import (
     MeasurementRecord,
     PhaseRamp,
@@ -58,16 +57,6 @@ def ramp_over_half_turn(n_samples):
 def held_ramp(n_samples):
     """Ramp at 0 Hz: every sample sees LO phase 0 plus its channel's offset."""
     return PhaseRamp(frequency_hz=0.0, duration_s=n_samples / FS_HZ, sampling_rate=FS_HZ)
-
-
-def source_on_array(r, c):
-    """The oracle: squeezed source on mode 0 plus vacuum, through the network whose first column is c."""
-    n = len(c)
-    cov = VACUUM_VARIANCE * np.eye(2 * n)
-    cov[:2, :2] = squeezed_vacuum(SqueezedVacuumSpec(r=r)).cov
-    t = np.zeros((n, n), dtype=complex)
-    t[:, 0] = c
-    return apply_linear_network(GaussianState(mean=np.zeros(2 * n), cov=cov), t)
 
 
 def records(*streams, rate=FS_HZ, lo_phases=None):
@@ -110,7 +99,7 @@ class TestArrayAgainstOracle:
         settings = ChannelSettings(gains=np.ones(32), phases=np.zeros(32))
         streams = sample_pixel_streams(c, r, held_ramp(M_WINDOW), M_WINDOW, 13, lo_phases=-settings.phases)
         combined = combine_rf(streams, settings).samples
-        expected = combine_rf(source_on_array(r, c), settings).cov[0, 0]
+        expected = combine_rf(source_state(c, r), settings).cov[0, 0]
         assert abs(np.mean(combined**2) - expected) < Z * expected * np.sqrt(2.0 / M_WINDOW)
 
     def test_channel_covariance_matches_propagated_state(self):
@@ -121,7 +110,7 @@ class TestArrayAgainstOracle:
         j = np.arange(c.size)
         h = np.zeros((c.size, 2 * c.size))
         h[j, 2 * j], h[j, 2 * j + 1] = np.cos(offsets), np.sin(offsets)
-        oracle = h @ source_on_array(r, c).cov @ h.T
+        oracle = h @ source_state(c, r).cov @ h.T
         oracle += electronic_noise_variance(ReceiverModel(snc_db=snc_db)) * np.eye(c.size)
         # mean(x_j x_k) over N zero-mean Gaussian samples has standard error sqrt((C_jj C_kk + C_jk^2) / N);
         # an error of DELTA in any element must sit 2 Z standard errors out
@@ -169,12 +158,26 @@ def test_chain_oracle_matches_the_closed_form(scenario):
         warnings.simplefilter("ignore", UserWarning)  # a beam that misses the aperture warns and couples nothing
         cv = coupling_vector(geometry, beam)
     settings = matched_settings(cv, geometry)
-    state = source_on_array(r, cv.c)
-    for j in range(geometry.n_antennas):
-        state = apply_loss(state, j, kappa)
-    got = np.linalg.eigvalsh(combine_rf(state, settings).cov)
+    # without electronic noise, predict adds exactly 0 to the combined mode's principal variances
+    got = predict(cv.c, kappa, r, settings, ReceiverModel(snc_db=np.inf))
     w = settings.complex_weights() / np.linalg.norm(settings.gains)
     np.testing.assert_allclose(got, lossy_squeezed_variances(r, kappa * abs(w @ cv.c) ** 2), rtol=1e-12, atol=0)
+
+
+def test_predict_propagates_the_array_in_one_map(monkeypatch):
+    # kappa rides on the coupling column, so the 32-mode state is propagated once, not once more per channel loss
+    n_modes = []
+    post_init = GaussianState.__post_init__
+
+    def counted(state):
+        post_init(state)
+        n_modes.append(state.n_modes)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counted)
+    cv = coupling_vector(ApertureGeometry(), BeamSpec())
+    predict(cv.c, 0.5, 1.0, matched_settings(cv, ApertureGeometry()), ReceiverModel())
+    # the source and the network's output: composed from 32 apply_loss calls, the oracle built 34
+    assert n_modes.count(32) == 2
 
 
 class TestSamplePixelStreams:

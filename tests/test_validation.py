@@ -19,6 +19,7 @@ from qpasim.gaussian import (
     vacuum,
 )
 from qpasim import receiver
+from qpasim.chain import predict
 from qpasim.receiver import (
     MeasurementRecord,
     PhaseRamp,
@@ -101,6 +102,13 @@ def _nan_field_cases():
     # incidence, which CouplingVector rejected as a coupled power above unity
     yield pytest.param(ApertureGeometry, {"wavelength_nm": np.nextafter(2e3 * np.pi / np.finfo(float).max, 0)},
                        id="ApertureGeometry.wavelength_nm.underflows")
+    # k x_j sin(theta) overflowed in coupling_vector: a RuntimeWarning, and without -W error CouplingVector's
+    # coupled-power message, which names the wrong input
+    yield pytest.param(ApertureGeometry, {"wavelength_nm": 1e-303}, id="ApertureGeometry.wavelength_nm.tilt_overflows")
+    yield pytest.param(ApertureGeometry, {"wavelength_nm": 2e3 * np.pi / np.finfo(float).max},
+                       id="ApertureGeometry.wavelength_nm.tilt_overflows_at_the_floor")
+    # the edges of a strip far off axis rounded to one double: 0/0 NaN couplings for a beam on antenna 20
+    yield pytest.param(ApertureGeometry, {"pitch_um": 1e15}, id="ApertureGeometry.pitch_um.strip_edges_merge")
 
 
 @pytest.mark.parametrize("make, kwargs", _nan_field_cases())
@@ -134,6 +142,21 @@ def test_sample_pixel_streams_rejects_nan(kwargs):
     with pytest.raises(ValueError):
         sample_pixel_streams(**dict(args, **kwargs))
 
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    pytest.param({"kappa": -0.1}, "kappa", id="kappa.negative"),
+    pytest.param({"kappa": 1.1}, "kappa", id="kappa.above_one"),
+    pytest.param({"kappa": NAN}, "kappa", id="kappa.nan"),
+    pytest.param({"settings": ChannelSettings(np.ones(3), np.zeros(3))}, "settings", id="settings.length"),
+])
+def test_predict_rejects_its_own_inputs(kwargs, name):
+    # without these rules, kappa 1.1 scaled [0.1, 0.2] up and still returned variances, NaN failed as a coupled
+    # power, and settings of the wrong length failed in apply_linear_network, which names neither input
+    args = dict(c=[0.1, 0.2], kappa=0.5, r=0.5, settings=ChannelSettings(np.ones(2), np.zeros(2)),
+                model=ReceiverModel())
+    with pytest.raises(ValueError, match=name):
+        predict(**dict(args, **kwargs))
 
 
 @pytest.mark.parametrize("field, value", [
