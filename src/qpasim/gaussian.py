@@ -18,6 +18,22 @@ vacuum fills what T does not pass on (Weedbrook et al., RMP 84, 621 (2012)):
 Pure loss on one mode is the law at a diagonal S (sqrt(eta) on that mode's x
 and p, 1 elsewhere), where S E S^T is the elementwise scaling s_i E_ij s_j.
 
+Every accepted state carries a floor: a proven lower bound on the smallest
+eigenvalue of H = cov + (i/4) Omega, which the uncertainty relation keeps
+above -tol.  A Cholesky factorization proves it when a state is constructed
+(Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.3; see
+:class:`GaussianState`), and each map passes it on, because the law reads
+H' = S H S^T + (I + i Omega)(I - S S^T)/4 and I + i Omega >= 0.  With g^2 the
+largest squared singular value of T and N = 2n,
+
+    loss:     floor' = min(floor, 0) - rho
+    network:  floor' = g^2 min(floor, 0) - max(0, g^2 - 1)/2 - 3 gamma_N ||S||_F^2 N (max|cov| + 1/4) - rho
+
+where gamma_N <= N eps bounds the rounding of the two products and
+rho = 8 N eps (max|cov'| + 1) + max|cov' - cov'^T| that of the output and
+its symmetrization.  A map's output is factorized only when floor' < -tol of
+its own covariance, so a chain of passive maps pays for one factorization.
+
 All operations are pure: they return new states and never mutate inputs.
 """
 
@@ -33,6 +49,7 @@ VACUUM_VARIANCE = 0.25
 # tolerances for state validation, relative to max(1, max|cov|)
 _SYM_TOL = 1e-12
 _PSD_TOL = 1e-9
+_EPS = np.finfo(float).eps
 
 
 def _integer(value, name: str) -> int:
@@ -45,6 +62,68 @@ def _integer(value, name: str) -> int:
     raise ValueError("%s must be an integer" % name)
 
 
+def _admit(state: GaussianState, mean, cov, floor: float) -> GaussianState:
+    """Check ``mean`` and ``cov``, the one check of every state, and store them on ``state`` with their floor.
+
+    ``floor`` bounds the smallest eigenvalue of cov + i Omega/4 for the exact map that made ``cov`` (the constructor
+    passes -inf).  Less rho, the rounding of the output (module notes), it is stored if it clears -tol, and
+    otherwise the factorization decides.
+    """
+    mean = np.array(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    size = mean.size
+    if mean.ndim != 1 or size % 2 != 0 or size == 0:
+        raise ValueError("mean must be a vector of even, positive length")
+    if cov.shape != (size, size):
+        raise ValueError("cov shape %s does not match mean length %d" % (cov.shape, size))
+    # entries above half the largest double overflow to inf, and inf - inf is NaN: the max below rejects both
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = np.abs(cov - cov.T).max()
+        cov = 0.5 * (cov + cov.T)
+    # NaN and +-inf both fail big < inf, so big is the one finiteness check of cov
+    big = np.abs(cov).max()
+    if not (big < np.inf and np.all(np.isfinite(mean))):
+        raise ValueError("mean and covariance must be finite")
+    # rounding in S (cov - I/4) S^T grows with |cov|, so both tolerances are relative
+    sym_tol = _SYM_TOL * max(1.0, big)
+    if asym > sym_tol:
+        raise ValueError("covariance matrix is not symmetric within %g" % sym_tol)
+    tol = _PSD_TOL * max(1.0, big)
+    floor -= 8 * size * _EPS * (big + 1.0) + asym
+    if not floor >= -tol:
+        floor = _factorized_floor(cov, tol)
+    mean.flags.writeable = False
+    cov.flags.writeable = False
+    object.__setattr__(state, "mean", mean)
+    object.__setattr__(state, "cov", cov)
+    object.__setattr__(state, "_floor", floor)
+    return state
+
+
+def _factorized_floor(cov: np.ndarray, tol: float) -> float:
+    """The floor that factorizing cov + i Omega/4 + (tol/2) I proves, or -inf if only the spectrum accepts it.
+
+    Raises ValueError if the smallest eigenvalue of cov + i Omega/4 lies below -tol.
+    """
+    size = cov.shape[0]
+    # uncertainty relation: cov + i*Omega/4 must be PSD ([x, p] = i/2); i/4 goes to (2k, 2k+1), -i/4 to (2k+1, 2k)
+    herm = cov.astype(complex)
+    flat = herm.reshape(-1)
+    flat[1 :: 2 * size + 2] += 1j * VACUUM_VARIANCE
+    flat[size :: 2 * size + 2] -= 1j * VACUUM_VARIANCE
+    flat[:: size + 1] += 0.5 * tol
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        flat[:: size + 1] = cov.diagonal()
+        min_eig = np.linalg.eigvalsh(herm).min()
+        if min_eig < -tol:
+            raise ValueError("covariance violates the uncertainty relation (min eig %g)" % min_eig) from None
+        return -np.inf
+    # Cholesky's backward error, 2 (N + 1) eps tr(A), is far below tol/2 (under 2e-12 max|cov| at 32 modes)
+    return -0.5 * tol - 2 * (size + 1) * _EPS * flat[:: size + 1].real.sum()
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Mean vector and covariance matrix of an n-mode Gaussian state.
@@ -52,9 +131,9 @@ class GaussianState:
     Parameters
     ----------
     mean : array_like, shape (2n,)
-        First moments in (x1, p1, ..., xn, pn) ordering; stored as a copy.
+        First moments in (x1, p1, ..., xn, pn) ordering; stored as a read-only copy.
     cov : array_like, shape (2n, 2n)
-        Symmetric covariance matrix in quadrature-variance units.
+        Symmetric covariance matrix in quadrature-variance units; stored read-only.
 
     Raises
     ------
@@ -69,53 +148,33 @@ class GaussianState:
     -----
     i/4 and -i/4 are written in place into a complex copy of cov, whose
     diagonal is shifted by tol/2: one Cholesky factorization of this
-    cov + (i/4) Omega + (tol/2) I certifies the relation.  Success proves the
-    smallest eigenvalue exceeds -tol, as the backward error, about
-    (2n)^2 eps max|cov| (1e-12 max|cov| at 32 modes), is far below tol/2.
-    Only on failure is the exact diagonal put back and the spectrum
-    computed; the rule is unchanged: reject when it lies below -tol.
+    A = cov + (i/4) Omega + (tol/2) I certifies the relation.  Only on failure
+    is the exact diagonal put back and the spectrum computed; the rule is
+    unchanged: reject when it lies below -tol.
+
+    Every accepted state keeps a proven floor under the smallest eigenvalue
+    of H = cov + (i/4) Omega, which is not a field.  A successful Cholesky
+    factor L of the N x N matrix A satisfies L L* = A + dA with
+    |dA| <= gamma_{N+1} |L| |L*| (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 10.3), and ||L||_F^2 = tr(A), so the floor is
+    -tol/2 - 2 (N + 1) eps tr(A); 2 (N + 1) eps, about 4 gamma_{N+1}, also
+    covers complex arithmetic and the rounding of the shift.  A state that
+    only the spectrum accepted has floor -inf.  :func:`apply_loss` and
+    :func:`apply_linear_network` pass the floor on (see the module notes), and
+    their output is factorized only when it no longer clears its own tol.  A
+    constructed state starts from no floor, so input from outside the package
+    is always factorized.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        size = mean.size
-        if mean.ndim != 1 or size % 2 != 0 or size == 0:
-            raise ValueError("mean must be a vector of even, positive length")
-        if cov.shape != (size, size):
-            raise ValueError("cov shape %s does not match mean length %d" % (cov.shape, size))
-        # entries above half the largest double overflow to inf, and inf - inf is NaN: the max below rejects both
-        with np.errstate(over="ignore", invalid="ignore"):
-            asym = np.abs(cov - cov.T).max()
-            cov = 0.5 * (cov + cov.T)
-        # NaN and +-inf both fail big < inf, so big is the one finiteness check of cov
-        big = np.abs(cov).max()
-        if not (big < np.inf and np.all(np.isfinite(mean))):
-            raise ValueError("mean and covariance must be finite")
-        # rounding in S (cov - I/4) S^T grows with |cov|, so both tolerances are relative
-        sym_tol = _SYM_TOL * max(1.0, big)
-        if asym > sym_tol:
-            raise ValueError("covariance matrix is not symmetric within %g" % sym_tol)
-        # uncertainty relation: cov + i*Omega/4 must be PSD ([x, p] = i/2); i/4 goes to (2k, 2k+1), -i/4 to (2k+1, 2k)
-        herm = cov.astype(complex)
-        flat = herm.reshape(-1)
-        flat[1 :: 2 * size + 2] += 1j * VACUUM_VARIANCE
-        flat[size :: 2 * size + 2] -= 1j * VACUUM_VARIANCE
-        tol = _PSD_TOL * max(1.0, big)
-        flat[:: size + 1] += 0.5 * tol
-        try:
-            # success proves min eig > -tol: Cholesky's backward error is far below tol/2
-            np.linalg.cholesky(herm)
-        except np.linalg.LinAlgError:
-            flat[:: size + 1] = cov.diagonal()
-            min_eig = np.linalg.eigvalsh(herm).min()
-            if min_eig < -tol:
-                raise ValueError("covariance violates the uncertainty relation (min eig %g)" % min_eig) from None
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        _admit(self, self.mean, self.cov, -np.inf)
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt by the constructor, so their arrays are read-only and their floor proven
+        return GaussianState, (self.mean, self.cov)
 
     @property
     def n_modes(self) -> int:
@@ -161,6 +220,7 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     evaluated in the order S @ E @ S.T multiplies, so the result equals
     ``apply_linear_network(state, diag(.., sqrt(eta), ..))`` bit for bit.  No passivity
     check is needed: with 0 <= eta <= 1 the largest singular value is exactly 1.
+    The output inherits the input's certificate, its floor less the rounding (see the module notes).
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1], got %r" % (eta,))
@@ -170,7 +230,10 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     s = np.ones(2 * state.n_modes)
     s[2 * mode : 2 * mode + 2] = np.sqrt(eta)
     eye = VACUUM_VARIANCE * np.eye(2 * state.n_modes)
-    return GaussianState(mean=s * state.mean, cov=eye + (s[:, None] * (state.cov - eye)) * s)
+    cov = eye + (s[:, None] * (state.cov - eye)) * s
+    # H' = S H S + (1 - s^2)(I + i Omega)/4 on the mode, and S^2 <= I (the rounded sqrt(eta) is at most 1): the
+    # floor carries over at min(floor, 0)
+    return _admit(object.__new__(GaussianState), s * state.mean, cov, min(state._floor, 0.0))
 
 
 def _real_embedding(matrix: np.ndarray) -> np.ndarray:
@@ -192,6 +255,11 @@ def apply_linear_network(state: GaussianState, matrix: np.ndarray) -> GaussianSt
     is filled with vacuum noise, which is exactly how imperfect modal overlap
     admixes spurious vacuum.
 
+    The output inherits the input's certificate: its floor, scaled by the
+    largest squared singular value and less the gain above 1 and the rounding
+    (see the module notes), so it is factorized only when that no longer
+    clears its tol.
+
     Raises
     ------
     ValueError
@@ -205,12 +273,20 @@ def apply_linear_network(state: GaussianState, matrix: np.ndarray) -> GaussianSt
     if not 0 < m <= n:
         raise ValueError("matrix must output at least one mode and no more modes than it consumes")
     # the finite check runs first: an SVD of a non-finite matrix does not converge
-    if not np.all(np.isfinite(t)) or np.linalg.svd(t, compute_uv=False)[0] ** 2 > 1.0 + 1e-9:
+    gain_sq = np.linalg.svd(t, compute_uv=False)[0] ** 2 if np.all(np.isfinite(t)) else np.inf
+    if not gain_sq <= 1.0 + 1e-9:
         raise ValueError("matrix must be finite and must not amplify (largest singular value <= 1)")
     s = _real_embedding(t)
     excess = state.cov - VACUUM_VARIANCE * np.eye(2 * n)
     cov = VACUUM_VARIANCE * np.eye(2 * m) + s @ excess @ s.T
-    return GaussianState(mean=s @ state.mean, cov=cov)
+    floor = min(state._floor, 0.0)
+    if floor > -np.inf:  # -inf stays -inf, also through the zero matrix, where 0 * -inf would be NaN
+        # H' = S H S^T + (I + i Omega)(I - S S^T)/4, whose second term is >= -max(0, gain_sq - 1)/2; the two
+        # products round by at most 3 gamma_N ||S||_F^2 N (max|cov| + 1/4), gamma_N <= N eps, ||S||_F^2 = 2 ||T||_F^2
+        size = 2 * n
+        rounding = 6 * size * size * _EPS * np.vdot(t, t).real * (np.abs(state.cov).max() + VACUUM_VARIANCE)
+        floor = gain_sq * floor - 0.5 * max(0.0, gain_sq - 1.0) - rounding
+    return _admit(object.__new__(GaussianState), s @ state.mean, cov, floor)
 
 
 def quadrature_variance(state: GaussianState, weights: np.ndarray, theta: float) -> float:

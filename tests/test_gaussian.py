@@ -1,8 +1,12 @@
+import copy
+import pickle
 import re
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qpasim import gaussian
 from qpasim.aperture import ChannelSettings
@@ -292,6 +296,135 @@ class TestLinearNetwork:
         assert np.max(np.abs(one_by_one.cov - at_once.cov)) <= 1e-15
 
 
+def loss_by_hand(state, mode, eta):
+    """The mean and covariance apply_loss computes, with no check: the reference for its verdict."""
+    s = np.ones(2 * state.n_modes)
+    s[2 * mode : 2 * mode + 2] = np.sqrt(eta)
+    eye = 0.25 * np.eye(2 * state.n_modes)
+    return s * state.mean, eye + (s[:, None] * (state.cov - eye)) * s
+
+
+def network_by_hand(state, t):
+    """The mean and covariance apply_linear_network computes, with no check."""
+    s = real_embedding(t)
+    excess = state.cov - 0.25 * np.eye(2 * state.n_modes)
+    return s @ state.mean, 0.25 * np.eye(s.shape[0]) + s @ excess @ s.T
+
+
+def same_verdict(mapped, mean, cov):
+    """``mapped()`` accepts exactly when ``GaussianState(mean, cov)`` does, with the same message or the same bits.
+
+    Returns the verdict and the number of factorizations ``mapped()`` made: 0 when its inherited floor sufficed.
+    """
+    try:
+        direct = GaussianState(mean=mean, cov=cov)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+                mapped()
+        return False, cholesky.call_count
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        out = mapped()
+    assert np.array_equal(out.cov, direct.cov) and np.array_equal(out.mean, direct.mean)
+    return True, cholesky.call_count
+
+
+def random_contraction(rng, m, n, gain_sq):
+    """A random complex m x n matrix whose largest squared singular value is ``gain_sq``."""
+    u = random_unitary(m, rng)
+    v = random_unitary(n, rng)[:m]
+    sigma = np.sqrt(gain_sq) * np.sort(rng.uniform(0.0, 1.0, m))[::-1]
+    sigma[0] = np.sqrt(gain_sq)
+    return (u * sigma) @ v
+
+
+def accepted(covs):
+    """The states among ``covs`` that the constructor accepts."""
+    for cov in covs:
+        try:
+            yield GaussianState(mean=np.zeros(len(cov)), cov=cov)
+        except ValueError:
+            pass
+
+
+class TestInheritedCertificate:
+    # a map's output skips the factorization when the floor it inherits clears its tol; the verdict must not change
+
+    @pytest.mark.parametrize("n_modes, draws", [(1, 30), (2, 15), (32, 2)])
+    def test_loss_verdict_equals_construction(self, n_modes, draws):
+        rng = np.random.default_rng(700 + n_modes)
+        verdicts = []
+        for state in accepted(boundary_covs(rng, n_modes, draws)):
+            for mode in sorted({0, n_modes // 2, n_modes - 1}):
+                for eta in (0.0, 1e-12, 0.5445, 1 - 1e-12, 1.0):
+                    verdicts.append(same_verdict(lambda: apply_loss(state, mode, eta), *loss_by_hand(state, mode, eta)))
+        # outputs accepted on the inherited floor alone, which construction would have factorized
+        assert (True, 0) in verdicts
+
+    @pytest.mark.parametrize("n_modes, draws", [(1, 30), (2, 15), (32, 2)])
+    def test_network_verdict_equals_construction(self, n_modes, draws):
+        # gains up to the passivity bound, 1 + 1e-9 in power, where vacuum no longer fills the deficit
+        rng = np.random.default_rng(800 + n_modes)
+        verdicts = []
+        for state in accepted(boundary_covs(rng, n_modes, draws)):
+            for m in sorted({1, n_modes}):
+                gains_sq = (rng.uniform(0.5, 1.0), 1.0, 1 + 0.5e-9, 1 + 0.9e-9)
+                for t in [random_contraction(rng, m, n_modes, g) for g in gains_sq] + [np.zeros((m, n_modes))]:
+                    verdicts.append(same_verdict(lambda: apply_linear_network(state, t), *network_by_hand(state, t)))
+        assert {(True, 0), (True, 1)} <= set(verdicts)
+
+    def test_gain_at_the_passivity_bound_wears_the_floor_down(self):
+        # a pure state with cov = diag(a, 1/a)/4 loses about 0.9e-9 (1 - a)^2 / (4 (1 + a^2)), 1.2e-10 at a = 1/4,
+        # of its smallest eigenvalue per pass through the gain 1 + 0.9e-9: the chain is rejected at the pass that
+        # construction rejects, though a floor that ignored the gain would still clear tol = 1e-9 there
+        t = [[np.sqrt(1 + 0.9e-9)]]
+        state = GaussianState(mean=np.zeros(2), cov=np.diag([1 / 16, 1.0]))
+        verdicts = [(True, None)]
+        while verdicts[-1][0] and len(verdicts) < 30:
+            verdicts.append(same_verdict(lambda: apply_linear_network(state, t), *network_by_hand(state, t)))
+            if verdicts[-1][0]:
+                state = apply_linear_network(state, t)
+        assert not verdicts[-1][0] and (True, 0) in verdicts
+
+
+# covariances on both sides of the uncertainty boundary, the 32-mode pure and lossy states first
+_BOUNDARY = [cov for n_modes, draws in ((32, 1), (2, 4), (1, 8))
+             for cov in boundary_covs(np.random.default_rng(600 + n_modes), n_modes, draws)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=len(_BOUNDARY) - 1),
+    st.floats(min_value=1e-300, max_value=1e150),
+    # mode 0 exists in every state, and -1 to 32 reach past both ends of every one
+    st.one_of(st.just(0), st.integers(min_value=-1, max_value=32)),
+    st.one_of(st.floats(), st.floats(min_value=0.0, max_value=1.0)),
+)
+@example(0, 1.0, 31, float("nan"))
+@example(0, 1.0, 31, float("inf"))
+@example(0, 1.0, 31, float("-inf"))
+@example(0, 1.0, 16, 5e-324)
+@example(1, 1e150, 0, 5e-324)
+@example(1, 1.0, 31, np.nextafter(1.0, 0.0))
+@example(0, 1e150, 0, 1.0)
+@example(0, 1.0, 32, 0.5)
+@example(0, 1.0, -1, 0.5)
+def test_loss_fails_loudly_or_agrees_with_construction(index, scale, mode, eta):
+    try:
+        state = GaussianState(mean=np.zeros(len(_BOUNDARY[index])), cov=scale * _BOUNDARY[index])
+    except ValueError:
+        return
+    if not 0.0 <= eta <= 1.0:
+        with pytest.raises(ValueError, match="eta must lie in"):
+            apply_loss(state, mode, eta)
+    elif not 0 <= mode < state.n_modes:
+        with pytest.raises(ValueError, match="mode index"):
+            apply_loss(state, mode, eta)
+    else:
+        # accepted with the same bits, or rejected with the uncertainty rule's message, as construction would
+        same_verdict(lambda: apply_loss(state, mode, eta), *loss_by_hand(state, mode, eta))
+
+
 class TestQuadratureVariance:
     def test_vacuum_any_weights(self):
         state = vacuum(3)
@@ -383,10 +516,18 @@ class TestStateValidation:
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_valid_states_skip_the_spectrum(self, monkeypatch):
-        # the Cholesky certificate alone must accept every state the package builds
+        # the Cholesky certificate alone must accept every state the package builds, and a map's output inherits it
         def spectrum(*args, **kwargs):
             raise AssertionError("a valid state reached the eigvalsh fallback")
 
+        def counted(a):
+            factorized.append(a.shape)
+            return cholesky(a)
+
+        # min eig -0.75e-9: below -tol/2, so only the spectrum accepts it, and its floor is -inf
+        spectrum_only = GaussianState(mean=np.zeros(2), cov=(0.25 - 0.75e-9) * np.eye(2))
+        cholesky, factorized = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", spectrum)
         vacuum(1)
         vacuum(32)
@@ -398,9 +539,35 @@ class TestStateValidation:
         cov = 0.25 * np.eye(64)
         cov[:2, :2] = _rotated(1.95, 0.3).cov
         state = apply_linear_network(GaussianState(mean=np.zeros(64), cov=cov), network)
+        factorized.clear()
         for j in range(32):
             state = apply_loss(state, j, 0.5445)
+        assert factorized == []
         combine_rf(state, ChannelSettings(gains=np.abs(c), phases=-np.angle(c)))
+        # min eig -0.375e-9 after the loss: one factorization certifies it
+        factorized.clear()
+        apply_loss(spectrum_only, 0, 0.5)
+        assert factorized == [(2, 2)]
+
+    def test_floor_is_checked_against_the_output_tolerance(self):
+        # mode 0 at r = 5 sets tol = 1e-9 e^10 / 4 (5.5e-6), and mode 1 at (1/4 - 2e-6) I clears it; losing mode 0
+        # shrinks tol to 1e-9, which mode 1 violates, though the input's floor clears the input's tol
+        cov = np.diag([np.exp(-10) / 4, np.exp(10) / 4, 0.25 - 2e-6, 0.25 - 2e-6])
+        state = GaussianState(mean=np.zeros(4), cov=cov)
+        with pytest.raises(ValueError, match=re.escape("uncertainty relation (min eig -2e-06)")):
+            apply_loss(state, 0, 0.0)
+
+    def test_stored_arrays_are_read_only(self):
+        # a map trusts the floor proven for its input, so the input's arrays must not change after the proof
+        state = squeezed_vacuum(SqueezedVacuumSpec(r=1.0))
+        mapped = apply_linear_network(state, [[0.6]])
+        copies = [copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+        for out in [state, apply_loss(state, 0, 0.5), mapped] + copies:
+            for array in (out.mean, out.cov):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+        for out in copies:
+            assert np.array_equal(out.cov, state.cov) and np.array_equal(out.mean, state.mean)
 
     def test_rounding_asymmetry_scales_with_cov(self):
         # a unitary on r = 6 squeezing leaves an asymmetry of ~1e-12 max|cov| from rounding alone
