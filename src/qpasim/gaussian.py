@@ -31,8 +31,10 @@ largest squared singular value of T and N = 2n,
 
 where gamma_N <= N eps bounds the rounding of the two products and
 rho = 8 N eps (max|cov'| + 1) + max|cov' - cov'^T| that of the output and
-its symmetrization.  A map's output is factorized only when floor' < -tol of
-its own covariance, so a chain of passive maps pays for one factorization.
+its symmetrization.  A loss output is symmetric bit for bit (see
+:func:`apply_loss`), so it is stored as it is, with asym = 0 in rho.  A map's
+output is factorized only when floor' < -tol of its own covariance, so a chain
+of passive maps pays for one factorization.
 
 All operations are pure: they return new states and never mutate inputs.
 """
@@ -62,12 +64,14 @@ def _integer(value, name: str) -> int:
     raise ValueError("%s must be an integer" % name)
 
 
-def _admit(state: GaussianState, mean, cov, floor: float) -> GaussianState:
+def _admit(state: GaussianState, mean, cov, floor: float, symmetric: bool = False) -> GaussianState:
     """Check ``mean`` and ``cov``, the one check of every state, and store them on ``state`` with their floor.
 
     ``floor`` bounds the smallest eigenvalue of cov + i Omega/4 for the exact map that made ``cov`` (the constructor
     passes -inf).  Less rho, the rounding of the output (module notes), it is stored if it clears -tol, and
-    otherwise the factorization decides.
+    otherwise the factorization decides.  A map that proves ``cov`` symmetric bit for bit passes ``symmetric``: then
+    the map, not this check, vouches for the symmetry, and ``cov`` is stored without the asymmetry scan or the
+    symmetrized copy, with asym = 0.
     """
     mean = np.array(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -76,10 +80,12 @@ def _admit(state: GaussianState, mean, cov, floor: float) -> GaussianState:
         raise ValueError("mean must be a vector of even, positive length")
     if cov.shape != (size, size):
         raise ValueError("cov shape %s does not match mean length %d" % (cov.shape, size))
-    # entries above half the largest double overflow to inf, and inf - inf is NaN: the max below rejects both
-    with np.errstate(over="ignore", invalid="ignore"):
-        asym = np.abs(cov - cov.T).max()
-        cov = 0.5 * (cov + cov.T)
+    asym = 0.0
+    if not symmetric:
+        # entries above half the largest double overflow to inf, and inf - inf is NaN: the max below rejects both
+        with np.errstate(over="ignore", invalid="ignore"):
+            asym = np.abs(cov - cov.T).max()
+            cov = 0.5 * (cov + cov.T)
     # NaN and +-inf both fail big < inf, so big is the one finiteness check of cov
     big = np.abs(cov).max()
     if not (big < np.inf and np.all(np.isfinite(mean))):
@@ -216,24 +222,35 @@ def squeezed_vacuum(spec: SqueezedVacuumSpec) -> GaussianState:
 def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """Pure loss of transmission eta on one mode: the module law at the diagonal S = diag(.., sqrt(eta), ..).
 
-    With S diagonal, S (cov - I/4) S^T is the elementwise scaling s_i (cov - I/4)_ij s_j,
-    evaluated in the order S @ E @ S.T multiplies, so the result equals
-    ``apply_linear_network(state, diag(.., sqrt(eta), ..))`` bit for bit.  No passivity
-    check is needed: with 0 <= eta <= 1 the largest singular value is exactly 1.
-    The output inherits the input's certificate, its floor less the rounding (see the module notes).
+    With S diagonal, S E S^T (E = cov - I/4) is the elementwise scaling (s_i E_ij) s_j, and s = 1 off the mode.
+    So only the mode's two rows and columns are scaled by sqrt(eta), in the order S @ E @ S.T multiplies; every
+    other entry c of the copy is rounded as the law rounds it: 0 + c off the diagonal, which turns -0.0 into +0.0,
+    and 1/4 + (c - 1/4) on it, which is not always c (c = 1e-5).  The result equals
+    ``apply_linear_network(state, diag(.., sqrt(eta), ..))`` bit for bit.  It is also symmetric bit for bit: the
+    stored input is, and fl(fl(s_i E_ij) s_j) is symmetric whenever s_i = 1, s_j = 1 or s_i = s_j, so it is stored
+    without symmetrization.  No passivity check is needed: with 0 <= eta <= 1 the largest singular value is
+    exactly 1.  The output inherits the input's certificate, its floor less the rounding (see the module notes).
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1], got %r" % (eta,))
     mode = _integer(mode, "mode")
     if not 0 <= mode < state.n_modes:
         raise ValueError("mode index %d out of range" % mode)
-    s = np.ones(2 * state.n_modes)
-    s[2 * mode : 2 * mode + 2] = np.sqrt(eta)
-    eye = VACUUM_VARIANCE * np.eye(2 * state.n_modes)
-    cov = eye + (s[:, None] * (state.cov - eye)) * s
+    t = np.sqrt(eta)
+    band = slice(2 * mode, 2 * mode + 2)
+    # E on the diagonal, (s_i E_ij) s_j on the mode's rows and columns, then I/4 + that: 0 + c off the diagonal
+    cov = state.cov.copy()
+    diagonal = cov.reshape(-1)[:: cov.shape[0] + 1]
+    diagonal -= VACUUM_VARIANCE
+    cov[band] *= t
+    cov[:, band] *= t
+    cov += 0.0
+    diagonal += VACUUM_VARIANCE
+    mean = state.mean.copy()
+    mean[band] *= t
     # H' = S H S + (1 - s^2)(I + i Omega)/4 on the mode, and S^2 <= I (the rounded sqrt(eta) is at most 1): the
     # floor carries over at min(floor, 0)
-    return _admit(object.__new__(GaussianState), s * state.mean, cov, min(state._floor, 0.0))
+    return _admit(object.__new__(GaussianState), mean, cov, min(state._floor, 0.0), symmetric=True)
 
 
 def _real_embedding(matrix: np.ndarray) -> np.ndarray:

@@ -183,14 +183,42 @@ class TestApplyLoss:
             assert np.array_equal(lossy.mean, network.mean)
 
     def test_loss_skips_the_network_machinery(self, monkeypatch):
-        # a diagonal S needs neither the passivity SVD nor the real embedding
+        # a diagonal S needs neither the passivity SVD nor the real embedding, and changing one mode's rows and
+        # columns needs no 2N x 2N identity
         def forbidden(*args, **kwargs):
             raise AssertionError("apply_loss reached the general network path")
 
-        state = apply_linear_network(_squeezed_plus_vacuum(1.0), np.array([[1, 1], [-1, 1]]) / np.sqrt(2))
+        def small_eye(size, *args, **kwargs):
+            if size > 2:
+                raise AssertionError("apply_loss built a %d x %d identity" % (size, size))
+            return eye(size, *args, **kwargs)
+
+        eye = np.eye
+        two = apply_linear_network(_squeezed_plus_vacuum(1.0), np.array([[1, 1], [-1, 1]]) / np.sqrt(2))
+        c = np.random.default_rng(3).standard_normal(32)
+        network = np.zeros((32, 32))
+        network[:, 0] = 0.9 * c / np.linalg.norm(c)
+        wide = apply_linear_network(GaussianState(mean=np.zeros(64), cov=np.diag(np.tile([1 / 16, 1.0], 32))), network)
         monkeypatch.setattr(np.linalg, "svd", forbidden)
         monkeypatch.setattr(gaussian, "_real_embedding", forbidden)
-        apply_loss(state, 1, 0.36)
+        monkeypatch.setattr(np, "eye", small_eye)
+        apply_loss(two, 1, 0.36)
+        for mode in (0, 16, 31):
+            apply_loss(wide, mode, 0.5445)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5445])
+    def test_update_keeps_the_bits_of_the_law(self, eta):
+        # every mode has x-variance 1e-5, where 1/4 + (1e-5 - 1/4) != 1e-5, and every off-diagonal entry is -0.0,
+        # which the law's 0 + c turns into +0.0: a copy that kept the untouched entries would differ from the law
+        cov = np.diag(np.tile([1e-5, 7000.0], 32))
+        state = GaussianState(mean=np.zeros(64), cov=np.where(cov == 0.0, -0.0, cov))
+        assert 0.25 + (1e-5 - 0.25) != 1e-5 and np.signbit(state.cov[0, 1])
+        for mode in (0, 16, 31):
+            out = apply_loss(state, mode, eta)
+            mean, law = loss_by_hand(state, mode, eta)
+            assert out.cov.tobytes() == law.tobytes() and out.mean.tobytes() == mean.tobytes()
+            untouched = 2 * (mode + 1) % 64
+            assert out.cov[untouched, untouched] != 1e-5 and not np.signbit(out.cov).any()
 
 
 def _squeezed_plus_vacuum(r):
@@ -311,6 +339,12 @@ def network_by_hand(state, t):
     return s @ state.mean, 0.25 * np.eye(s.shape[0]) + s @ excess @ s.T
 
 
+def symmetric(state):
+    """``state``, once its covariance is asserted equal to its transpose: apply_loss vouches for that, unchecked."""
+    assert np.array_equal(state.cov, state.cov.T)
+    return state
+
+
 def same_verdict(mapped, mean, cov):
     """``mapped()`` accepts exactly when ``GaussianState(mean, cov)`` does, with the same message or the same bits.
 
@@ -357,7 +391,8 @@ class TestInheritedCertificate:
         for state in accepted(boundary_covs(rng, n_modes, draws)):
             for mode in sorted({0, n_modes // 2, n_modes - 1}):
                 for eta in (0.0, 1e-12, 0.5445, 1 - 1e-12, 1.0):
-                    verdicts.append(same_verdict(lambda: apply_loss(state, mode, eta), *loss_by_hand(state, mode, eta)))
+                    law = loss_by_hand(state, mode, eta)
+                    verdicts.append(same_verdict(lambda: symmetric(apply_loss(state, mode, eta)), *law))
         # outputs accepted on the inherited floor alone, which construction would have factorized
         assert (True, 0) in verdicts
 
@@ -422,7 +457,7 @@ def test_loss_fails_loudly_or_agrees_with_construction(index, scale, mode, eta):
             apply_loss(state, mode, eta)
     else:
         # accepted with the same bits, or rejected with the uncertainty rule's message, as construction would
-        same_verdict(lambda: apply_loss(state, mode, eta), *loss_by_hand(state, mode, eta))
+        same_verdict(lambda: symmetric(apply_loss(state, mode, eta)), *loss_by_hand(state, mode, eta))
 
 
 class TestQuadratureVariance:
