@@ -69,11 +69,11 @@ def _admit(state: GaussianState, mean, cov, floor: float, symmetric: bool = Fals
 
     ``floor`` bounds the smallest eigenvalue of cov + i Omega/4 for the exact map that made ``cov`` (the constructor
     passes -inf).  Less rho, the rounding of the output (module notes), it is stored if it clears -tol, and
-    otherwise the factorization decides.  A map that proves ``cov`` symmetric bit for bit passes ``symmetric``: then
-    the map, not this check, vouches for the symmetry, and ``cov`` is stored without the asymmetry scan or the
-    symmetrized copy, with asym = 0.
+    otherwise the factorization decides.  A map that proves ``cov`` symmetric bit for bit and makes ``mean`` a new
+    float array, finite by construction, passes ``symmetric``: the map, not this check, then vouches for both, so
+    ``cov`` skips the asymmetry scan and symmetrized copy, ``mean`` its copy and finiteness scan, and asym = 0.
     """
-    mean = np.array(mean, dtype=float)
+    mean = mean if symmetric else np.array(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     size = mean.size
     if mean.ndim != 1 or size % 2 != 0 or size == 0:
@@ -88,7 +88,7 @@ def _admit(state: GaussianState, mean, cov, floor: float, symmetric: bool = Fals
             cov = 0.5 * (cov + cov.T)
     # NaN and +-inf both fail big < inf, so big is the one finiteness check of cov
     big = np.abs(cov).max()
-    if not (big < np.inf and np.all(np.isfinite(mean))):
+    if not (big < np.inf and (symmetric or np.all(np.isfinite(mean)))):
         raise ValueError("mean and covariance must be finite")
     # rounding in S (cov - I/4) S^T grows with |cov|, so both tolerances are relative
     sym_tol = _SYM_TOL * max(1.0, big)

@@ -29,13 +29,13 @@ from qpasim.aperture import ChannelSettings, CouplingVector
 from qpasim.gaussian import GaussianState, VACUUM_VARIANCE, _integer, apply_linear_network, lossy_squeezed_variances
 
 # the sampler's time block (2^14 and 2^18 ran slower) and thread count, and the CSV writer's rows per write
-# (a 2048-row block of 56-byte rows, 114 688 B for a channel of up to 6 characters, stays under glibc's 128 KiB
+# (a 2048-row block of 48-byte rows, 98 304 B for a channel of up to 6 characters, stays under glibc's 128 KiB
 # mmap threshold; 4096-row blocks of 64-byte rows page-faulted about 130 times per 4096-row record, and their
 # throughput spread 5x wider between runs)
 _CHUNK = 1 << 16
 _WORKERS = min(2, os.cpu_count() or 1)
 _CSV_BLOCK = 2048
-# time-slot blocks cached per process (3 MiB at 2048 rows); every block's times come from the cache, so a record
+# time-slot blocks cached per process (2 MiB at 2048 rows); every block's times come from the cache, so a record
 # longer than _TIME_SLOT_BLOCKS * _CSV_BLOCK rows just evicts the least recently used blocks
 _TIME_SLOT_BLOCKS = 64
 # the sampling-rate floor of PhaseRamp and MeasurementRecord, about 1.03e-289 Hz
@@ -299,9 +299,10 @@ def combine_rf(x, settings: ChannelSettings):
 def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
     """Serialize records as ``time_s,channel,voltage`` rows, formatted ``%.9g,%d,%.9g``.
 
-    The bytes are those of ``"%.9g,%d,%.9g\\n" % (t, channel, v)`` row by row.  NumPy formats each value
-    but those it cannot prove, which Python formats: a scaled 9th-digit tie, a carry to the next decade, NaN,
-    inf, |v| outside [1e-13, 10).
+    The bytes are those of ``"%.9g,%d,%.9g\\n" % (t, channel, v)`` row by row.  A row is built as uint64
+    words, a two-word slot per value and one word for the newline.  NumPy formats finite 1e-4 <= |v| < 10,
+    the fixed notation of %.9g, but for a scaled 9th-digit tie or a carry to the next decade; Python formats
+    those and every other value: zero, NaN, inf and every exponent form.
     Sample k is stamped k / sampling_rate, so records at one rate share their time column: every block takes its
     time slots from the one cache of :func:`_time_slots`, which a long record cycles through.
     """
@@ -311,80 +312,75 @@ def write_records_csv(records: Iterable[MeasurementRecord], fh) -> None:
         width = -(-len(channel) // 8)
         size = rec.samples.size
         rate = float(rec.sampling_rate)
-        # a row is 6 + width uint64 words: the time's slot, ",channel,", then the voltage's slot, whose last byte
-        # (NUL after _g9_slots) becomes the "\n"
-        rows = np.zeros((min(_CSV_BLOCK, size), 6 + width), dtype="<u8")
-        rows[:, 3:3 + width] = np.frombuffer(channel.ljust(8 * width, b"\0"), dtype="<u8")
+        # a row is 5 + width uint64 words: the time's two-word slot, ",channel,", the voltage's slot and "\n"
+        rows = np.zeros((min(_CSV_BLOCK, size), 5 + width), dtype="<u8")
+        rows[:, 2:2 + width] = np.frombuffer(channel.ljust(8 * width, b"\0"), dtype="<u8")
+        rows[:, -1] = ord("\n")
         for start in range(0, size, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, size)
             n = stop - start
-            rows[:n, :3] = _time_slots(rate, start, stop)
-            _g9_slots(rec.samples[start:stop], rows[:n, 3 + width:])
-            rows[:n, -1] |= _NEWLINE
+            rows[:n, :2] = _time_slots(rate, start, stop)
+            _g9_slots(rec.samples[start:stop], rows[:n, 2 + width:-1])
             fh.write(rows[:n].tobytes().translate(None, b"\0").decode("ascii"))
 
 
 @lru_cache(maxsize=_TIME_SLOT_BLOCKS)
 def _time_slots(rate: float, start: int, stop: int) -> np.ndarray:
     """Read-only :func:`_g9_slots` of the time stamps ``np.arange(start, stop) / rate``."""
-    out = np.empty((stop - start, 3), dtype="<u8")
+    out = np.empty((stop - start, 2), dtype="<u8")
     _g9_slots(np.arange(start, stop) / rate, out)
     out.flags.writeable = False
     return out
 
 
 def _g9_tables():
-    """Per decimal exponent e in [-14, 1] (every e that floor(log10) gives below 10, off by one), at index e + 14.
+    """Per decimal exponent e in [-5, 1] (every e that floor(log10) gives in [1e-4, 10), off by one), at index e + 5.
 
     ``mul`` is the exact power of ten 10^(8-e) that scales to 9 integer digits.  The others build a slot:
-    ``dot`` is the point after the leading digit (byte 7 of word 0), except in fixed notation below 1, whose
-    ``lead`` holds the "0." to "0.000" prefix instead (bytes 1-5 of word 0), and ``tail`` the "e-XX" suffix of
-    exponent notation (bytes 0-3 of word 2).
+    ``dot`` is the point after the leading digit (byte 7 of word 0), except below 1, whose ``lead`` holds the
+    "0." to "0.000" prefix instead (bytes 1-5 of word 0).
     Per 4-digit group i < 10^4, ``digits`` is the ASCII of "%04d" % i: byte p is i // 10^(3-p) % 10.
     ``keep`` masks its bytes up to its last nonzero digit: byte p while i % 10^(4-p) != 0.
     """
-    mul, dot, lead, tail = [], [], [], []
-    for e in range(-14, 2):
-        below = -4 <= e < 0  # fixed notation below 1
+    mul, dot, lead = [], [], []
+    for e in range(-5, 2):
         mul.append(float(10 ** (8 - e)))
-        dot.append(0 if below else ord(".") << 56)
-        lead.append(int.from_bytes(b"\0" + b"0.000"[:1 - e] if below else b"", "little"))
-        tail.append(int.from_bytes(b"e%+03d" % e, "little") if e < -4 else 0)
+        dot.append(0 if e < 0 else ord(".") << 56)
+        lead.append(int.from_bytes(b"\0" + b"0.000"[:1 - e] if e < 0 else b"", "little"))
     i = np.arange(10**4)
     digits = sum((i // 10 ** (3 - p) % 10 + ord("0")) << 8 * p for p in range(4))
     keep = sum((i % 10 ** (4 - p) != 0) * (0xFF << 8 * p) for p in range(4))
-    return np.array(mul), *(np.array(t, dtype=np.uint64) for t in (dot, lead, tail, digits, keep))
+    return np.array(mul), *(np.array(t, dtype=np.uint64) for t in (dot, lead, digits, keep))
 
 
-_G9_MUL, _G9_DOT, _G9_LEAD, _G9_TAIL, _G9_DIGITS, _G9_KEEP = _g9_tables()
-_NEWLINE = np.uint64(ord("\n") << 56)
+_G9_MUL, _G9_DOT, _G9_LEAD, _G9_DIGITS, _G9_KEEP = _g9_tables()
 
 
 def _g9_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``"%.9g" % x[i]`` as 24 NUL-padded ASCII bytes into the three uint64 words ``out[i]``.
+    """Write ``"%.9g" % x[i]`` as 16 NUL-padded ASCII bytes into the two uint64 words ``out[i]``.
 
-    The package writes samples of order 1 and time stamps below 1 s, so NumPy formats finite
-    1e-13 <= |x| < 10, where the point, if any, follows the leading digit.  There m = |x| 10^(8-e) is one
+    The package writes samples of order 1 and time stamps below 1 s, so NumPy formats the fixed notation of
+    finite 1e-4 <= |x| < 10, where the point, if any, follows the leading digit.  There m = |x| 10^(8-e) is one
     correctly rounded product by an exact power of ten.  Rounding is monotone and integers and half-integers
     below 2^30 are doubles, so for m in [1e8, 1e9) rounding m half up gives the correctly rounded 9 digits of
     |x| unless m is itself a half-integer.  Those values, a floor(log10) that missed (m outside [1e8, 1e9)),
-    an m that rounds up to 1e9 (a carry to the next decade), zero, NaN, infinities and |x| >= 10 are
-    formatted by Python.  Returns the indices of the values Python formatted.
+    an m that rounds up to 1e9 (a carry to the next decade) and every value outside that range, zero, NaN,
+    infinities and every exponent form, are formatted by Python.  Returns the indices of the values Python
+    formatted.
 
-    Word 0 holds the sign, the prefix below 1, the leading digit and the point; word 1 the other 8 digits;
-    word 2 the exponent, in bytes 0-3.  Python's text is at most 16 bytes, so byte 7 of word 2 is always NUL:
-    the CSV writer puts its "\\n" there.  Digits are split in np.intp, words built in np.uint64: NumPy 1.24
-    promotes uint64 mixed with int64 to float64.
+    Word 0 holds the sign, the prefix below 1, the leading digit and the point; word 1 the other 8 digits.
+    Python's text is at most 16 bytes ("-1.23456789e-100"), so it too fills two words.  Digits are split in
+    np.intp, words built in np.uint64: NumPy 1.24 promotes uint64 mixed with int64 to float64.
     """
     u = np.uint64
     a = np.abs(x)
-    fast = a >= 1e-13
+    fast = a >= 1e-4
     fast &= a < 10
     np.copyto(a, 1.0, where=~fast)
     # a floor(log10) that missed puts m outside [1e8, 1e9), or on 1e8 itself, which rounds alike
     m = np.log10(a)
     k = np.floor(m, out=m).astype(np.intp)
-    k += 14
+    k += 5
     np.multiply(a, _G9_MUL[k], out=m)
     r = np.floor(m, out=a)
     frac = m - r
@@ -403,11 +399,10 @@ def _g9_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # keep every digit up to the last nonzero one; the rest become NUL
     w &= np.where(lo != 0, _G9_KEEP[lo] << u(32) | u(0xFFFFFFFF), _G9_KEEP[hi])
     out[:, 1] = w
-    out[:, 2] = _G9_TAIL[k]
     out[:, 0] = (d0 + ord("0")).astype(u) << u(48) | _G9_LEAD[k] | _G9_DOT[k] * (d != 0) | np.signbit(x) * u(ord("-"))
     slow = np.flatnonzero(~ok)
     for i in slow:
-        out[i] = np.frombuffer(("%.9g" % x[i]).encode("ascii").ljust(24, b"\0"), dtype="<u8")
+        out[i] = np.frombuffer(("%.9g" % x[i]).encode("ascii").ljust(16, b"\0"), dtype="<u8")
     return slow
 
 

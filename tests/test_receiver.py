@@ -437,6 +437,28 @@ def test_csv_bytes_match_per_row_format_after_a_record_cycles_the_time_slot_cach
     assert fh.getvalue() == per_row_csv(recs)
 
 
+def test_a_second_record_at_the_same_rate_formats_no_time_stamp(monkeypatch):
+    # the formatter hands t = 0 and the stamps below 1e-4 to Python; only the first record's times may pay for it
+    handed, g9_slots = [], receiver._g9_slots
+
+    def counting(x, out):
+        slow = g9_slots(x, out)
+        handed.append(slow.size)
+        return slow
+
+    monkeypatch.setattr(receiver, "_g9_slots", counting)
+    receiver._time_slots.cache_clear()
+    # voltages that NumPy formats, so every value handed to Python is a time stamp
+    values = np.random.default_rng(9).uniform(0.1, 1.0, 2 * receiver._CSV_BLOCK + 5)
+    recs = [MeasurementRecord(channel=j, samples=values, seed=7, sampling_rate=FS_HZ) for j in range(2)]
+    for rec, stamps in zip(recs, (2000, 0)):
+        handed.clear()
+        fh = io.StringIO()
+        write_records_csv([rec], fh)
+        assert fh.getvalue() == per_row_csv([rec])
+        assert sum(handed) == stamps
+
+
 def csv_of(samples, channel=-1, rate=FS_HZ):
     """The writer's CSV and the per-row CSV of one record, cut to their first differing line."""
     rec = MeasurementRecord(channel=channel, samples=samples, seed=7, sampling_rate=rate)
@@ -510,21 +532,27 @@ def test_csv_bytes_do_not_depend_on_block_size(monkeypatch, block):
 
 def g9(values):
     """The private formatter's text for ``values`` and how many of them it handed to Python."""
-    out = np.zeros((values.size, 3), dtype="<u8")
+    out = np.zeros((values.size, 2), dtype="<u8")
     n_python = receiver._g9_slots(values, out).size
     return out.tobytes().translate(None, b"\0").decode("ascii"), n_python
 
 
+def outside_fixed_range(values):
+    """How many of ``values`` lie outside the formatter's NumPy range, finite 1e-4 <= |x| < 10."""
+    return np.count_nonzero(~((np.abs(values) >= 1e-4) & (np.abs(values) < 10)))
+
+
 def test_csv_formats_ordinary_data_in_numpy():
-    # a formatter that handed every value to Python would pass the exactness tests
+    # a formatter that handed every value to Python would pass the exactness tests; these inputs hold no tie,
+    # carry or log10 miss, so exactly the values outside the NumPy range go to Python (11 of the 10^5)
     values = np.random.default_rng(11).standard_normal(10**5)
     text, n_python = g9(values)
-    assert n_python <= 10
+    assert n_python == outside_fixed_range(values) == 11
     assert text == "".join("%.9g" % v for v in values)
-    # every time stamp of a 2^20-sample record at 20 MS/s but t = 0
+    # every time stamp of a 2^20-sample record at 20 MS/s but t = 0: the 1 999 below 1e-4 go to Python
     stamps = np.arange(1, 2**20) / 20e6
     text, n_python = g9(stamps)
-    assert n_python == 0
+    assert n_python == outside_fixed_range(stamps) == 1999
     assert text == "".join("%.9g" % t for t in stamps)
     # |x| >= 10 is outside the fast range
     rng = np.random.default_rng(12)
