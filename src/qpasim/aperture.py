@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qpasim.gaussian import _integer
+from qpasim.gaussian import _integer, _real
 
 MODE_PROFILES = ("comb", "tophat")
 
@@ -89,7 +89,7 @@ class ApertureGeometry:
         A scalar centre gives shape (n_strips, 2); centres of shape S give
         S + (n_strips, 2).
         """
-        center = np.asarray(center_um, dtype=float)[..., np.newaxis]
+        center = _real(center_um, "center_um")[..., np.newaxis]
         if self.mode_profile == "tophat":
             mids, half = center, self.antenna_width_um / 2
         else:
@@ -132,8 +132,8 @@ class ChannelSettings:
     phases: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gains", np.array(self.gains, dtype=float))
-        object.__setattr__(self, "phases", np.array(self.phases, dtype=float))
+        object.__setattr__(self, "gains", _real(self.gains, "gains", copy=True))
+        object.__setattr__(self, "phases", _real(self.phases, "phases", copy=True))
         if self.gains.shape != self.phases.shape or self.gains.ndim != 1:
             raise ValueError("gains and phases must be 1-D vectors of equal length")
         if not (np.all((self.gains >= 0) & (self.gains < np.inf)) and np.all(np.isfinite(self.phases))):
@@ -172,7 +172,7 @@ def element_pattern(geometry: ApertureGeometry, theta_deg: float) -> float:
     1 at normal incidence, 0.5 at +-fwhm/2.  Where (theta / fwhm)^2 overflows, as it does off axis for a
     tiny fwhm, the pattern is exactly 0, quietly.
     """
-    theta = np.asarray(theta_deg, dtype=float)
+    theta = _real(theta_deg, "theta_deg")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta_deg must be finite")
     with np.errstate(over="ignore"):

@@ -1,17 +1,17 @@
 """The covariance oracle of the whole chain: one squeezed beam on the array, attenuated and RF-combined.
 
-The fourth layer, above :mod:`qpasim.receiver`.  The source is squeezed vacuum on mode 0 of n modes, the other
-n - 1 in vacuum, and the coupling column c spreads it over the n antennas as the passive network T whose first
-column is c.  The chain efficiency kappa then attenuates every channel alike.  A loss kappa on each of the n modes
-is the diagonal network sqrt(kappa) I, and the passive law of :mod:`qpasim.gaussian` composes: it maps
+The fourth layer, above :mod:`qpasim.receiver`.  The source is one mode of squeezed vacuum, and the coupling
+column c spreads it over the n antennas as the n x 1 passive map c, with vacuum entering the n - 1 ports that it
+leaves unused.  The chain efficiency kappa then attenuates every channel alike.  A loss kappa on each of the n
+modes is the diagonal network sqrt(kappa) I, and the passive law of :mod:`qpasim.gaussian` composes: it maps
 cov - I/4 to S (cov - I/4) S^T, so two maps in turn are the map of their product.  Hence, exactly, and to
 rounding in floating point,
 
-    T with column sqrt(kappa) c  ==  the column network T, then n losses kappa (32 on the reference array)
+    the column sqrt(kappa) c  ==  the column c, then n losses kappa (32 on the reference array)
 
-and the chain to the antennas is one :func:`~qpasim.gaussian.apply_linear_network` call.  :func:`predict`
-combines its output with :func:`~qpasim.receiver.combine_rf` and adds the electronic noise: the principal
-variances that the combined record of :func:`~qpasim.receiver.sample_pixel_streams` estimates.
+and the chain to the antennas is one :func:`~qpasim.gaussian.apply_linear_network` call on the one-mode source.
+:func:`predict` combines its output with :func:`~qpasim.receiver.combine_rf` and adds the electronic noise: the
+principal variances that the combined record of :func:`~qpasim.receiver.sample_pixel_streams` estimates.
 """
 
 from __future__ import annotations
@@ -19,22 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 from qpasim.aperture import ChannelSettings, CouplingVector
-from qpasim.gaussian import VACUUM_VARIANCE, GaussianState, SqueezedVacuumSpec, apply_linear_network, squeezed_vacuum
+from qpasim.gaussian import GaussianState, SqueezedVacuumSpec, apply_linear_network, squeezed_vacuum
 from qpasim.receiver import ReceiverModel, combine_rf, electronic_noise_variance
 
 
 def source_state(c, r: float) -> GaussianState:
-    """Squeezed vacuum of parameter ``r`` on mode 0 of ``len(c)`` modes, through the network whose first column is c.
+    """Squeezed vacuum of parameter ``r`` through the ``len(c)`` x 1 column c: one mode in, ``len(c)`` modes out.
 
     :class:`CouplingVector` checks ``c``, :class:`SqueezedVacuumSpec` checks ``r``.
     """
-    c = CouplingVector(c).c
-    n = c.size
-    cov = VACUUM_VARIANCE * np.eye(2 * n)
-    cov[:2, :2] = squeezed_vacuum(SqueezedVacuumSpec(r)).cov
-    network = np.zeros((n, n), dtype=complex)
-    network[:, 0] = c
-    return apply_linear_network(GaussianState(mean=np.zeros(2 * n), cov=cov), network)
+    return apply_linear_network(squeezed_vacuum(SqueezedVacuumSpec(r)), CouplingVector(c).c[:, np.newaxis])
 
 
 def predict(c, kappa: float, r: float, settings: ChannelSettings, model: ReceiverModel) -> tuple[float, float]:

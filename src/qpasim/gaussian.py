@@ -9,9 +9,10 @@ X(theta) = cos(theta) x + sin(theta) p, so a lossy squeezed vacuum obeys
 which every module in this package treats as the closed-form reference.  Its principal variances
 (eta e^{-+2r} + (1 - eta)) / 4 are evaluated only in :func:`lossy_squeezed_variances`, where 1.0 - eta is exact
 for eta >= 1/2 (Sterbenz's lemma), so at eta = 1 they are e^{-+2r} / 4 to the bit.
-Every passive map (network, pure loss, RF combiner) is one law: a complex
-m x n matrix T with singular values <= 1 acts through its real embedding S, and
-vacuum fills what T does not pass on (Weedbrook et al., RMP 84, 621 (2012)):
+Every passive map (network, pure loss, RF combiner) is one law: any complex
+m x n contraction T (singular values <= 1, any m) acts through its real embedding
+S, and vacuum fills what T does not pass on, for m > n the m - n unused ports too,
+as I - T T^dag >= 0 whatever m is (Weedbrook et al., RMP 84, 621 (2012)):
 
     mean' = S mean,    cov' = I/4 + S (cov - I/4) S^T
 
@@ -24,17 +25,17 @@ above -tol.  A Cholesky factorization proves it when a state is constructed
 (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.3; see
 :class:`GaussianState`), and each map passes it on, because the law reads
 H' = S H S^T + (I + i Omega)(I - S S^T)/4 and I + i Omega >= 0.  With g^2 the
-largest squared singular value of T and N = 2n,
+largest squared singular value of T and N = 2n the input's size,
 
     loss:     floor' = min(floor, 0) - rho
     network:  floor' = g^2 min(floor, 0) - max(0, g^2 - 1)/2 - 3 gamma_N ||S||_F^2 N (max|cov| + 1/4) - rho
 
-where gamma_N <= N eps bounds the rounding of the two products and
-rho = 8 N eps (max|cov'| + 1) + max|cov' - cov'^T| that of the output and
-its symmetrization.  A loss output is symmetric bit for bit (see
-:func:`apply_loss`), so it is stored as it is, with asym = 0 in rho.  A map's
-output is factorized only when floor' < -tol of its own covariance, so a chain
-of passive maps pays for one factorization.
+where gamma_N <= N eps bounds the rounding of the two products, whose inner
+dimension is N for any m, and rho = 8 N' eps (max|cov'| + 1) + max|cov' - cov'^T|
+that of the output and its symmetrization, N' = 2m the output's size.  A loss
+output is symmetric bit for bit (see :func:`apply_loss`), so it is stored as it
+is, with asym = 0 in rho.  A map's output is factorized only when floor' < -tol
+of its own covariance, so a chain of passive maps pays for one factorization.
 
 All operations are pure: they return new states and never mutate inputs.
 """
@@ -64,17 +65,26 @@ def _integer(value, name: str) -> int:
     raise ValueError("%s must be an integer" % name)
 
 
+def _real(value, name: str, copy: bool = False) -> np.ndarray:
+    """``value`` as a float array, copied if ``copy``; complex raises ValueError, as a cast drops the imaginary part."""
+    array = np.asarray(value)
+    if array.dtype.kind == "c":
+        raise ValueError("%s must be real" % name)
+    return np.array(array, dtype=float) if copy else np.asarray(array, dtype=float)
+
+
 def _admit(state: GaussianState, mean, cov, floor: float, symmetric: bool = False) -> GaussianState:
     """Check ``mean`` and ``cov``, the one check of every state, and store them on ``state`` with their floor.
 
     ``floor`` bounds the smallest eigenvalue of cov + i Omega/4 for the exact map that made ``cov`` (the constructor
     passes -inf).  Less rho, the rounding of the output (module notes), it is stored if it clears -tol, and
-    otherwise the factorization decides.  A map that proves ``cov`` symmetric bit for bit and makes ``mean`` a new
-    float array, finite by construction, passes ``symmetric``: the map, not this check, then vouches for both, so
-    ``cov`` skips the asymmetry scan and symmetrized copy, ``mean`` its copy and finiteness scan, and asym = 0.
+    otherwise the factorization decides.  A map that makes ``cov`` and ``mean`` new float arrays, ``cov`` symmetric
+    bit for bit and ``mean`` finite by construction, passes ``symmetric``: the map, not this check, then vouches for
+    both, so both skip the real-value check, ``cov`` the asymmetry scan and symmetrized copy, ``mean`` its copy and
+    finiteness scan, and asym = 0.
     """
-    mean = mean if symmetric else np.array(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    if not symmetric:
+        mean, cov = _real(mean, "mean", copy=True), _real(cov, "cov")
     size = mean.size
     if mean.ndim != 1 or size % 2 != 0 or size == 0:
         raise ValueError("mean must be a vector of even, positive length")
@@ -265,12 +275,13 @@ def _real_embedding(matrix: np.ndarray) -> np.ndarray:
 
 
 def apply_linear_network(state: GaussianState, matrix: np.ndarray) -> GaussianState:
-    """Transform mode operators by a (sub-)unitary complex matrix (the module law).
+    """Transform mode operators by any complex m x n contraction (the module law); the output has m modes.
 
-    ``matrix`` may be rectangular (m x n with m <= n), in which case the
-    output state has m modes.  Rows may have norm below one; the norm deficit
-    is filled with vacuum noise, which is exactly how imperfect modal overlap
-    admixes spurious vacuum.
+    m < n discards modes, and m > n adds m - n in vacuum, as the m x 1
+    coupling column of :mod:`qpasim.chain` spreads one source mode over m
+    antennas.  Rows may have norm below one; the norm deficit is filled with
+    vacuum noise, which is exactly how imperfect modal overlap admixes
+    spurious vacuum.
 
     The output inherits the input's certificate: its floor, scaled by the
     largest squared singular value and less the gain above 1 and the rounding
@@ -280,15 +291,16 @@ def apply_linear_network(state: GaussianState, matrix: np.ndarray) -> GaussianSt
     Raises
     ------
     ValueError
-        On dimension mismatch, a non-finite entry, or if the matrix amplifies
-        (largest singular value above 1), which no passive network can do.
+        If the columns do not match the state's modes, the matrix has no rows or
+        a non-finite entry, or it amplifies (largest singular value above 1),
+        which no passive network can do.
     """
     t = np.atleast_2d(np.asarray(matrix, dtype=complex))
     m, n = t.shape
     if n != state.n_modes:
         raise ValueError("matrix has %d columns but state has %d modes" % (n, state.n_modes))
-    if not 0 < m <= n:
-        raise ValueError("matrix must output at least one mode and no more modes than it consumes")
+    if m == 0:
+        raise ValueError("matrix must output at least one mode")
     # the finite check runs first: an SVD of a non-finite matrix does not converge
     gain_sq = np.linalg.svd(t, compute_uv=False)[0] ** 2 if np.all(np.isfinite(t)) else np.inf
     if not gain_sq <= 1.0 + 1e-9:

@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from qpasim.aperture import ChannelSettings, CouplingVector
-from qpasim.gaussian import GaussianState, VACUUM_VARIANCE, _integer, apply_linear_network, lossy_squeezed_variances
+from qpasim.gaussian import (GaussianState, VACUUM_VARIANCE, _integer, _real, apply_linear_network,
+                             lossy_squeezed_variances)
 
 # the sampler's time block (2^14 and 2^18 ran slower) and thread count, and the CSV writer's rows per write
 # (a 2048-row block of 48-byte rows, 98 304 B for a channel of up to 6 characters, stays under glibc's 128 KiB
@@ -109,7 +110,7 @@ class MeasurementRecord:
         object.__setattr__(self, "channel", _integer(self.channel, "channel"))
         if not _integer(self.seed, "seed") >= 0:
             raise ValueError("seed must be >= 0")
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        object.__setattr__(self, "samples", _real(self.samples, "samples"))
         if self.samples.ndim != 1:
             raise ValueError("samples must be a 1-D array")
         if not _MIN_RATE <= self.sampling_rate < np.inf:
@@ -149,13 +150,15 @@ def sample_pixel_streams(
     """Correlated per-channel streams of one squeezed beam on the array.
 
     ``couplings`` are the effective complex amplitudes of the source mode on each channel (chain losses folded
-    in).  The streams have the covariance of :func:`apply_linear_network` with matrix ``c`` on the squeezed
-    source plus vacuum, read at each channel's LO phase, plus electronic noise e.  With d = c e^{-i lo_phases},
-    channel j is the shared source term Re(d_j) u + Im(d_j) v, where (u, v) are the source quadratures at the
-    ramp phase, plus noise of covariance (1/4 + e) I - Re(d d^dag)/4: the vacuum entering channel j is
-    correlated with channel k's.  A single channel of efficiency eta is ``couplings=[sqrt(eta)]``.  The record
-    that ``combine_rf`` forms from the streams of ``couplings=sqrt(kappa) c`` has the principal variances of
-    ``qpasim.chain.predict(c, kappa, r, settings, model)``, the oracle it is checked against.
+    in).  The streams have the covariance of ``apply_linear_network(squeezed_vacuum(SqueezedVacuumSpec(r)),
+    c[:, np.newaxis])``, the one-mode source spread by the column c with vacuum in the other ports
+    (``qpasim.chain.source_state(c, r)``), read at each channel's LO phase, plus electronic noise e.  With
+    d = c e^{-i lo_phases}, channel j is the shared source term Re(d_j) u + Im(d_j) v, where (u, v) are the
+    source quadratures at the ramp phase, plus noise of covariance (1/4 + e) I - Re(d d^dag)/4: the vacuum
+    entering channel j is correlated with channel k's.  A single channel of efficiency eta is
+    ``couplings=[sqrt(eta)]``.  The record that ``combine_rf`` forms from the streams of ``couplings=sqrt(kappa) c``
+    has the principal variances of ``qpasim.chain.predict(c, kappa, r, settings, model)``, the oracle it is checked
+    against.
 
     ``lo_phases`` offsets each channel's LO phase, which is how RF phase settings act on sample streams.  The
     sign is opposite to the RF phase: to stream what ``combine_rf(state, settings)`` forms from the state, pass
@@ -166,7 +169,7 @@ def sample_pixel_streams(
     """
     c = CouplingVector(couplings).c
     n_ch = c.size
-    offsets = np.zeros(n_ch) if lo_phases is None else np.asarray(lo_phases, dtype=float)
+    offsets = np.zeros(n_ch) if lo_phases is None else _real(lo_phases, "lo_phases")
     if offsets.shape != c.shape:
         raise ValueError("couplings and lo_phases must be 1-D vectors of equal length")
     if not _integer(n_samples, "n_samples") >= 1:

@@ -307,15 +307,33 @@ class TestLinearNetwork:
             with pytest.raises(ValueError):
                 apply_linear_network(vacuum(2), t)
 
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 8, 32, 33])
+    def test_column_on_the_source_equals_the_padded_network(self, n_modes):
+        # the n x 1 column on a 1-mode state, against the n x n network that is zero outside its first column on
+        # the state padded with n - 1 vacuum modes: the padding meets only zeros of cov - I/4 and of the mean
+        rng = np.random.default_rng(40 + n_modes)
+        for _ in range(20):
+            squeezed = _rotated(rng.uniform(0.0, 3.0), rng.uniform(0.0, 2 * np.pi))
+            source = GaussianState(mean=rng.standard_normal(2), cov=squeezed.cov)
+            c = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+            c *= rng.uniform(0.0, 1.0) / np.linalg.norm(c)
+            cov = 0.25 * np.eye(2 * n_modes)
+            cov[:2, :2] = source.cov
+            network = np.zeros((n_modes, n_modes), dtype=complex)
+            network[:, 0] = c
+            padded = apply_linear_network(GaussianState(mean=np.pad(source.mean, (0, 2 * n_modes - 2)), cov=cov),
+                                          network)
+            column = apply_linear_network(source, c[:, np.newaxis])
+            # each entry sums the same two nonzero products, in an order that the BLAS kernel may choose
+            for got, want in ((column.cov, padded.cov), (column.mean, padded.mean)):
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15 * np.abs(want).max())
+
     def test_losses_on_every_mode_are_one_diagonal_network(self):
-        # the oracle chain: a squeezed source spread over 32 modes, then the same loss on each mode
+        # the oracle chain: a squeezed source spread over 32 modes by its coupling column, then the same loss on
+        # each mode
         rng = np.random.default_rng(3)
         c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        network = np.zeros((32, 32), dtype=complex)
-        network[:, 0] = 0.9 * c / np.linalg.norm(c)
-        cov = 0.25 * np.eye(64)
-        cov[:2, :2] = _rotated(1.0, 0.3).cov
-        state = apply_linear_network(GaussianState(mean=np.zeros(64), cov=cov), network)
+        state = apply_linear_network(_rotated(1.0, 0.3), (0.9 * c / np.linalg.norm(c))[:, np.newaxis])
         kappa = 0.5445
         one_by_one = state
         for j in range(32):
@@ -364,10 +382,11 @@ def same_verdict(mapped, mean, cov):
 
 
 def random_contraction(rng, m, n, gain_sq):
-    """A random complex m x n matrix whose largest squared singular value is ``gain_sq``."""
-    u = random_unitary(m, rng)
-    v = random_unitary(n, rng)[:m]
-    sigma = np.sqrt(gain_sq) * np.sort(rng.uniform(0.0, 1.0, m))[::-1]
+    """A random complex m x n matrix of rank min(m, n) whose largest squared singular value is ``gain_sq``."""
+    k = min(m, n)
+    u = random_unitary(m, rng)[:, :k]
+    v = random_unitary(n, rng)[:k]
+    sigma = np.sqrt(gain_sq) * np.sort(rng.uniform(0.0, 1.0, k))[::-1]
     sigma[0] = np.sqrt(gain_sq)
     return (u * sigma) @ v
 
@@ -398,15 +417,17 @@ class TestInheritedCertificate:
 
     @pytest.mark.parametrize("n_modes, draws", [(1, 30), (2, 15), (32, 2)])
     def test_network_verdict_equals_construction(self, n_modes, draws):
-        # gains up to the passivity bound, 1 + 1e-9 in power, where vacuum no longer fills the deficit
-        rng = np.random.default_rng(800 + n_modes)
-        verdicts = []
+        # gains up to the passivity bound, 1 + 1e-9 in power, where vacuum no longer fills the deficit; the tall
+        # m = n + 1 adds a mode in vacuum, and is drawn from its own generator, so the others are drawn as before
+        rng, tall_rng = np.random.default_rng(800 + n_modes), np.random.default_rng(900 + n_modes)
+        verdicts, tall_verdicts = [], []
         for state in accepted(boundary_covs(rng, n_modes, draws)):
-            for m in sorted({1, n_modes}):
-                gains_sq = (rng.uniform(0.5, 1.0), 1.0, 1 + 0.5e-9, 1 + 0.9e-9)
-                for t in [random_contraction(rng, m, n_modes, g) for g in gains_sq] + [np.zeros((m, n_modes))]:
-                    verdicts.append(same_verdict(lambda: apply_linear_network(state, t), *network_by_hand(state, t)))
-        assert {(True, 0), (True, 1)} <= set(verdicts)
+            cases = [(m, rng, verdicts) for m in sorted({1, n_modes})] + [(n_modes + 1, tall_rng, tall_verdicts)]
+            for m, gen, seen in cases:
+                gains_sq = (gen.uniform(0.5, 1.0), 1.0, 1 + 0.5e-9, 1 + 0.9e-9)
+                for t in [random_contraction(gen, m, n_modes, g) for g in gains_sq] + [np.zeros((m, n_modes))]:
+                    seen.append(same_verdict(lambda: apply_linear_network(state, t), *network_by_hand(state, t)))
+        assert {(True, 0), (True, 1)} <= set(verdicts) and {(True, 0), (True, 1)} <= set(tall_verdicts)
 
     def test_gain_at_the_passivity_bound_wears_the_floor_down(self):
         # a pure state with cov = diag(a, 1/a)/4 loses about 0.9e-9 (1 - a)^2 / (4 (1 + a^2)), 1.2e-10 at a = 1/4,
@@ -569,11 +590,7 @@ class TestStateValidation:
         _rotated(3.0, 0.4)
         rng = np.random.default_rng(3)
         c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        network = np.zeros((32, 32), dtype=complex)
-        network[:, 0] = 0.9 * c / np.linalg.norm(c)
-        cov = 0.25 * np.eye(64)
-        cov[:2, :2] = _rotated(1.95, 0.3).cov
-        state = apply_linear_network(GaussianState(mean=np.zeros(64), cov=cov), network)
+        state = apply_linear_network(_rotated(1.95, 0.3), (0.9 * c / np.linalg.norm(c))[:, np.newaxis])
         factorized.clear()
         for j in range(32):
             state = apply_loss(state, j, 0.5445)

@@ -164,21 +164,30 @@ def test_chain_oracle_matches_the_closed_form(scenario):
 
 
 def test_predict_propagates_the_array_in_one_map(monkeypatch):
-    # kappa rides on the coupling column, so the 32-mode state is propagated once, not once more per channel loss
-    n_modes = []
-    admit = gaussian._admit
+    # kappa rides on the coupling column, and the column maps the one-mode source to the 32 antennas: one 32-mode
+    # state, where a source padded to 32 modes took a second, and 32 apply_loss calls 32 more
+    n_modes, factorized = [], []
+    admit, cholesky = gaussian._admit, np.linalg.cholesky
 
     def counted(*args):
         state = admit(*args)
         n_modes.append(state.n_modes)
         return state
 
+    def counted_cholesky(a):
+        factorized.append(a.shape)
+        return cholesky(a)
+
+    cv = coupling_vector(ApertureGeometry(), BeamSpec())
+    settings = matched_settings(cv, ApertureGeometry())
     # every state, constructed or the output of a map, passes the one check function
     monkeypatch.setattr(gaussian, "_admit", counted)
-    cv = coupling_vector(ApertureGeometry(), BeamSpec())
-    predict(cv.c, 0.5, 1.0, matched_settings(cv, ApertureGeometry()), ReceiverModel())
-    # the source and the network's output: composed from 32 apply_loss calls, the oracle built 34
-    assert n_modes.count(32) == 2
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    predict(cv.c, 0.5, 1.0, settings, ReceiverModel())
+    # the source, the column's output and the combined mode
+    assert n_modes == [1, 32, 1]
+    # only the constructed source is factorized: both map outputs clear their tol on the floor they inherit
+    assert factorized == [(2, 2)]
 
 
 class TestSamplePixelStreams:

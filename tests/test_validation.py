@@ -1,6 +1,7 @@
 """Every range check rejects NaN, so bad input fails at construction instead of propagating."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -83,8 +84,6 @@ def _nan_field_cases():
     yield pytest.param(GaussianState, {"mean": np.zeros(3), "cov": 0.25 * np.eye(3)}, id="GaussianState.mean.odd")
     yield pytest.param(GaussianState, {"mean": np.zeros(2), "cov": 0.25 * np.eye(4)}, id="GaussianState.cov.shape")
     yield pytest.param(apply_loss, {"state": vacuum(1), "mode": 1, "eta": 0.5}, id="apply_loss.mode.range")
-    yield pytest.param(apply_linear_network, {"state": vacuum(1), "matrix": [[0.5], [0.5]]},
-                       id="apply_linear_network.more_outputs")
     # no rows raised IndexError from the passivity check's SVD
     yield pytest.param(apply_linear_network, {"state": vacuum(3), "matrix": np.zeros((0, 3))},
                        id="apply_linear_network.no_outputs")
@@ -115,6 +114,24 @@ def _nan_field_cases():
 def test_nan_field_rejected(make, kwargs):
     with pytest.raises(ValueError):
         make(**kwargs)
+
+
+def test_more_outputs_than_inputs_add_vacuum():
+    # a column of norm below one splits one mode over two, and vacuum enters the port it leaves unused: vacuum in
+    # is vacuum out, the 2-mode vacuum to the bit (more outputs than inputs used to be rejected)
+    out = apply_linear_network(vacuum(1), [[0.5], [0.5]])
+    assert np.array_equal(out.cov, vacuum(2).cov) and np.array_equal(out.mean, np.zeros(4))
+
+
+@pytest.mark.parametrize("matrix", [
+    # sigma^2 = 1.25: a tall matrix must not amplify either
+    pytest.param([[1.0], [0.5]], id="amplifies"),
+    pytest.param([[NAN], [0.1]], id="nan"),
+])
+def test_tall_network_keeps_the_passivity_rule(matrix):
+    message = "matrix must be finite and must not amplify (largest singular value <= 1)"
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        apply_linear_network(vacuum(1), matrix)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -232,6 +249,33 @@ def test_owner_copies_its_input(make, field, dtype):
     owner = make(given)
     given[:] = NAN
     assert np.array_equal(getattr(owner, field), np.full(2, 0.1, dtype=dtype))
+
+
+@pytest.mark.parametrize("make, field", [
+    pytest.param(lambda a: GaussianState(a, 0.25 * np.eye(2)), "mean", id="GaussianState.mean"),
+    pytest.param(lambda a: GaussianState(np.zeros(2), np.diag(a)), "cov", id="GaussianState.cov"),
+    pytest.param(lambda a: ChannelSettings(a, np.zeros(2)), "gains", id="ChannelSettings.gains"),
+    pytest.param(lambda a: ChannelSettings(np.ones(2), a), "phases", id="ChannelSettings.phases"),
+    pytest.param(lambda a: MeasurementRecord(channel=0, samples=a, seed=1, sampling_rate=20e6), "samples",
+                 id="MeasurementRecord.samples"),
+    pytest.param(lambda a: sample_pixel_streams([0.1, 0.2], 0.5, PhaseRamp(), 16, 1, lo_phases=a), "lo_phases",
+                 id="sample_pixel_streams.lo_phases"),
+    pytest.param(lambda a: element_pattern(ApertureGeometry(), a), "theta_deg", id="element_pattern.theta_deg"),
+    pytest.param(ApertureGeometry().mode_segments, "center_um", id="ApertureGeometry.mode_segments.center_um"),
+])
+@pytest.mark.parametrize("given", [
+    # a complex array only warned and lost its imaginary part: phases [0.1 + 1j, 0.2] were stored as [0.1, 0.2]
+    pytest.param(np.array([0.3 + 2j, 0.25]), id="array"),
+    # a list of Python complex numbers raised TypeError
+    pytest.param([0.3 + 2j, 0.25], id="list"),
+    # the rule is the dtype's, so a zero imaginary part is rejected too
+    pytest.param(np.array([0.3, 0.25], dtype=complex), id="zero_imag"),
+])
+def test_real_owner_rejects_complex_input(make, field, given):
+    with pytest.raises(ValueError, match="^%s must be real$" % field):
+        make(given)
+    # the real part alone passes every rule
+    make(np.real(given))
 
 
 @pytest.mark.parametrize("owner, field, value", [
