@@ -49,11 +49,11 @@ class ApertureGeometry:
         if not _integer(self.n_antennas, "n_antennas") >= 1:
             raise ValueError("n_antennas must be >= 1")
         for name in ("pitch_um", "antenna_width_um", "element_pattern_fwhm_deg", "waveguide_width_um"):
-            if not 0 < getattr(self, name) < np.inf:
+            if not 0 < _real(getattr(self, name), name) < np.inf:
                 raise ValueError("%s must be finite and positive" % name)
-        if not 2e3 * np.pi / np.finfo(float).max <= self.wavelength_nm < np.inf:
+        if not 2e3 * np.pi / np.finfo(float).max <= _real(self.wavelength_nm, "wavelength_nm") < np.inf:
             raise ValueError("wavelength_nm must be finite with a finite wavenumber: 2e3 pi / DBL_MAX <= wavelength_nm")
-        if not 0 <= self.insertion_loss_db < 20 * np.log10(np.finfo(float).max):
+        if not 0 <= _real(self.insertion_loss_db, "insertion_loss_db") < 20 * np.log10(np.finfo(float).max):
             raise ValueError("insertion_loss_db must be >= 0 with a finite 10^(IL/20): IL < 20 log10(DBL_MAX)")
         if not self.pitch_um >= self.antenna_width_um:
             raise ValueError("pitch must be at least the antenna width")
@@ -108,9 +108,10 @@ class BeamSpec:
     incidence_angle_deg: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.diameter_um < np.sqrt(np.finfo(float).max):
+        if not 0 < _real(self.diameter_um, "diameter_um") < np.sqrt(np.finfo(float).max):
             raise ValueError("beam diameter must be positive with a finite square: 0 < diameter_um < sqrt(DBL_MAX)")
-        if not (np.isfinite(self.center_offset_um) and -90 < self.incidence_angle_deg < 90):
+        if not (np.isfinite(_real(self.center_offset_um, "center_offset_um"))
+                and -90 < _real(self.incidence_angle_deg, "incidence_angle_deg") < 90):
             raise ValueError("beam offset must be finite and the incidence angle inside (-90, 90) degrees")
 
     @property

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from qpasim.aperture import ChannelSettings, CouplingVector
-from qpasim.gaussian import GaussianState, SqueezedVacuumSpec, apply_linear_network, squeezed_vacuum
+from qpasim.gaussian import GaussianState, SqueezedVacuumSpec, _real, apply_linear_network, squeezed_vacuum
 from qpasim.receiver import ReceiverModel, combine_rf, electronic_noise_variance
 
 
@@ -37,7 +37,7 @@ def predict(c, kappa: float, r: float, settings: ChannelSettings, model: Receive
     ``kappa`` is the chain efficiency of every channel and must lie in [0, 1]; ``settings`` must have one channel
     per coupling.  The electronic-noise variance of ``model`` is added to both principal variances.
     """
-    if not 0.0 <= kappa <= 1.0:
+    if not 0.0 <= _real(kappa, "kappa") <= 1.0:
         raise ValueError("kappa must lie in [0, 1], got %r" % (kappa,))
     state = source_state(np.sqrt(kappa) * np.asarray(c), r)
     if settings.n_channels != state.n_modes:

@@ -66,9 +66,15 @@ def _integer(value, name: str) -> int:
 
 
 def _real(value, name: str, copy: bool = False) -> np.ndarray:
-    """``value`` as a float array, copied if ``copy``; complex raises ValueError, as a cast drops the imaginary part."""
+    """``value`` as a float array, copied if ``copy``; ValueError unless its dtype is bool, integer or float.
+
+    A cast would drop a complex value's imaginary part and parse a string.  A float that need not be copied comes
+    back as a NumPy float, not a 0-d array: a scalar owner's range check on it takes about 0.2 us, not 2 us.
+    """
+    if isinstance(value, float) and not copy:
+        return np.float64(value)
     array = np.asarray(value)
-    if array.dtype.kind == "c":
+    if array.dtype.kind not in "biuf":
         raise ValueError("%s must be real" % name)
     return np.array(array, dtype=float) if copy else np.asarray(array, dtype=float)
 
@@ -207,7 +213,7 @@ class SqueezedVacuumSpec:
     r: float
 
     def __post_init__(self):
-        if not 0 <= 2 * self.r <= np.log(np.finfo(float).max):
+        if not 0 <= 2 * _real(self.r, "r") <= np.log(np.finfo(float).max):
             raise ValueError("squeezing parameter r must be >= 0 with e^(2 r) finite: 2 r <= ln(DBL_MAX)")
 
 
@@ -241,7 +247,7 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     without symmetrization.  No passivity check is needed: with 0 <= eta <= 1 the largest singular value is
     exactly 1.  The output inherits the input's certificate, its floor less the rounding (see the module notes).
     """
-    if not 0.0 <= eta <= 1.0:
+    if not 0.0 <= _real(eta, "eta") <= 1.0:
         raise ValueError("eta must lie in [0, 1], got %r" % (eta,))
     mode = _integer(mode, "mode")
     if not 0 <= mode < state.n_modes:
@@ -328,13 +334,13 @@ def quadrature_variance(state: GaussianState, weights: np.ndarray, theta: float)
     w = np.asarray(weights, dtype=complex)
     if np.sum(np.abs(w) ** 2) == 0.0:
         raise ValueError("weight vector must not be zero")
-    return float(apply_linear_network(state, (w * np.exp(-1j * theta))[np.newaxis, :]).cov[0, 0])
+    return float(apply_linear_network(state, (w * np.exp(-1j * _real(theta, "theta")))[np.newaxis, :]).cov[0, 0])
 
 
 def lossy_squeezed_variances(r: float, eta: float) -> tuple[float, float]:
     """Principal (min, max) variances of a squeezed vacuum seen at efficiency eta: the one evaluation of the law."""
     SqueezedVacuumSpec(r)
-    if not 0.0 <= eta <= 1.0:
+    if not 0.0 <= _real(eta, "eta") <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     v_min = (eta * np.exp(-2 * r) + (1.0 - eta)) * VACUUM_VARIANCE
     v_max = (eta * np.exp(2 * r) + (1.0 - eta)) * VACUUM_VARIANCE

@@ -4,15 +4,16 @@ Sample streams are normalized so a vacuum input has variance equal to the
 vacuum quadrature variance (1/4).  Electronic noise enters as an additive
 Gaussian whose variance sits ``snc_db`` below the shot level.
 
-Randomness contract: every sample stream comes from :func:`sample_pixel_streams`.  Channel ``j`` of an
-``n``-channel acquisition draws one stream from ``channel_rng(master_seed, j)`` and the shared squeezed source
-draws x, then p, from ``channel_rng(master_seed, n)``; a single channel is ``n = 1``.  ``channel_rng`` checks
-the seeds: a master seed or stream index that is not an integer >= 0 raises ValueError.  The sampler walks
-time in blocks and splits each block over at most two threads, by channel for the draws and by time for the
-mixing.  Every stream keeps its own generator (the source's is duplicated, and the copy first draws and
-discards the ``n_samples`` x values on the calling thread, so its draws in the block loop are the p values)
-and every other step is elementwise in time, so the output is bit for bit the same for any block size and any
-number of threads.
+Randomness contract: every sample stream comes from :func:`sample_pixel_streams`, the law of its docstring applied
+to these normals.  Channel ``j`` of an ``n``-channel acquisition draws its normals eps_j from
+``channel_rng(master_seed, j)``, and the shared squeezed source's x and p are the first and second ``n_samples``
+normals of ``channel_rng(master_seed, n)``; a single channel is ``n = 1``.  ``channel_rng`` checks the seeds: a
+master seed or stream index that is not an integer >= 0 raises ValueError.  The sampler walks time in blocks and
+splits each block over at most two threads, by channel for the draws and by time for the mixing.  Every stream
+keeps its own generator, and the source's is duplicated so that x and p come out of its one stream: the copy
+first draws and discards the ``n_samples`` x values on the calling thread, so its draws in the block loop are
+the p values.  Every other step is elementwise in time, so the output is bit for bit the same for any block size
+and any number of threads.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ class ReceiverModel:
 
     def __post_init__(self):
         # every check is written so that NaN fails it; an infinite snc_db means no electronic noise
-        if not self.snc_db >= 0:
+        if not _real(self.snc_db, "snc_db") >= 0:
             raise ValueError("snc_db must be >= 0")
         for name in ("chip_loss_db", "collimator_loss_db"):
-            if not 0 <= getattr(self, name) < np.inf:
+            if not 0 <= _real(getattr(self, name), name) < np.inf:
                 raise ValueError("%s must be finite and >= 0" % name)
 
 
@@ -77,9 +78,10 @@ class PhaseRamp:
     sampling_rate: float = 20e6
 
     def __post_init__(self):
-        if not (_MIN_RATE <= self.sampling_rate < np.inf and 2 * abs(self.frequency_hz) < self.sampling_rate):
+        if not (_MIN_RATE <= _real(self.sampling_rate, "sampling_rate") < np.inf
+                and 2 * abs(_real(self.frequency_hz, "frequency_hz")) < self.sampling_rate):
             raise ValueError("sampling_rate must be finite, >= %g and exceed twice the ramp frequency" % _MIN_RATE)
-        if not 0 < self.duration_s < np.inf:
+        if not 0 < _real(self.duration_s, "duration_s") < np.inf:
             raise ValueError("duration must be finite and positive")
 
     def times(self, n_samples: int) -> np.ndarray:
@@ -113,9 +115,9 @@ class MeasurementRecord:
         object.__setattr__(self, "samples", _real(self.samples, "samples"))
         if self.samples.ndim != 1:
             raise ValueError("samples must be a 1-D array")
-        if not _MIN_RATE <= self.sampling_rate < np.inf:
+        if not _MIN_RATE <= _real(self.sampling_rate, "sampling_rate") < np.inf:
             raise ValueError("sampling_rate must be finite and >= %g" % _MIN_RATE)
-        if not -np.inf < self.lo_phase < np.inf:
+        if not -np.inf < _real(self.lo_phase, "lo_phase") < np.inf:
             raise ValueError("lo_phase must be finite")
 
 
@@ -149,51 +151,51 @@ def sample_pixel_streams(
 ) -> list[MeasurementRecord]:
     """Correlated per-channel streams of one squeezed beam on the array.
 
-    ``couplings`` are the effective complex amplitudes of the source mode on each channel (chain losses folded
-    in).  The streams have the covariance of ``apply_linear_network(squeezed_vacuum(SqueezedVacuumSpec(r)),
-    c[:, np.newaxis])``, the one-mode source spread by the column c with vacuum in the other ports
-    (``qpasim.chain.source_state(c, r)``), read at each channel's LO phase, plus electronic noise e.  With
-    d = c e^{-i lo_phases}, channel j is the shared source term Re(d_j) u + Im(d_j) v, where (u, v) are the
-    source quadratures at the ramp phase, plus noise of covariance (1/4 + e) I - Re(d d^dag)/4: the vacuum
-    entering channel j is correlated with channel k's.  A single channel of efficiency eta is
-    ``couplings=[sqrt(eta)]``.  The record that ``combine_rf`` forms from the streams of ``couplings=sqrt(kappa) c``
-    has the principal variances of ``qpasim.chain.predict(c, kappa, r, settings, model)``, the oracle it is checked
-    against.
+    ``couplings`` are the effective complex amplitudes c of the source mode on each channel (chain losses folded
+    in).  At ramp phase theta, channel j is L_j(theta) . (x, p, eps_1 ... eps_n) in the normals of the randomness
+    contract (module notes).  With d = c e^{-i lo_phases}, D = [Re d, Im d] (n x 2), sx^2 and sp^2 the source's
+    principal variances, sigma^2 = 1/4 + e for electronic noise e, B = D / (2 sigma) and K the 2 x 2 matrix that
+    makes (I - B K B^T)^2 = I - B B^T,
+
+        L(theta) = [D R(theta) diag(sx, sp) | sigma (I - B K B^T)],    R(theta) = [[cos, sin], [sin, -cos]].
+
+    So L L^T = D R diag(sx^2, sp^2) R^T D^T + sigma^2 I - D D^T / 4: the covariance of
+    ``qpasim.chain.source_state(c e^{-i theta}, r)``, the source spread by the column c with vacuum in the other
+    ports, read at each channel's LO offset, plus e I; the vacuum entering channel j is correlated with channel k's.
+    In ``tests/test_receiver.py``, ``test_law_carries_the_oracle_covariance`` checks L L^T against that oracle and
+    ``test_records_are_the_law_on_the_drawn_normals`` the records against L(theta_t) on the drawn normals, so given
+    iid normals the sampled covariance is exact.  A single channel of efficiency eta is ``couplings=[sqrt(eta)]``.
+    The record that ``combine_rf`` forms from the streams of ``couplings=sqrt(kappa) c`` has the principal variances
+    of ``qpasim.chain.predict(c, kappa, r, settings, model)``, the oracle it is checked against.
 
     ``lo_phases`` offsets each channel's LO phase, which is how RF phase settings act on sample streams.  The
     sign is opposite to the RF phase: to stream what ``combine_rf(state, settings)`` forms from the state, pass
     ``lo_phases=-settings.phases`` and combine the records with the same ``settings``.
 
-    The owners of the inputs check them: :class:`CouplingVector` the couplings, :class:`SqueezedVacuumSpec` ``r`` and
-    :func:`channel_rng` ``master_seed`` before any output is allocated, each :class:`MeasurementRecord` its LO offset.
+    The owners of the inputs check them before any output is allocated: :class:`CouplingVector` the couplings,
+    :class:`SqueezedVacuumSpec` ``r``, :class:`ReceiverModel` ``snc_db`` and :func:`channel_rng` ``master_seed``.
+    The law reads ``lo_phases`` before any :class:`MeasurementRecord` checks its LO offset, so they are checked
+    finite here, with their shape.
     """
     c = CouplingVector(couplings).c
-    n_ch = c.size
-    offsets = np.zeros(n_ch) if lo_phases is None else _real(lo_phases, "lo_phases")
-    if offsets.shape != c.shape:
-        raise ValueError("couplings and lo_phases must be 1-D vectors of equal length")
+    offsets = np.zeros(c.size) if lo_phases is None else _real(lo_phases, "lo_phases")
+    if offsets.shape != c.shape or not np.isfinite(offsets).all():
+        raise ValueError("couplings and lo_phases must be 1-D vectors of equal length, lo_phases finite")
     if not _integer(n_samples, "n_samples") >= 1:
         raise ValueError("n_samples must be >= 1")
-    sigma = np.sqrt(VACUUM_VARIANCE + electronic_noise_variance(ReceiverModel(snc_db=snc_db)))
-    sx, sp = np.sqrt(lossy_squeezed_variances(r, 1.0))
+    sigma, sx, sp, d, b, k = _stream_law(c, offsets, r, snc_db)
     # channel_rng checks master_seed before any allocation; the source draws x from gens[0], p from its copy gens[1]
-    gens = [channel_rng(master_seed, n_ch) for _ in range(2)] + [channel_rng(master_seed, j) for j in range(n_ch)]
+    gens = [channel_rng(master_seed, c.size) for _ in range(2)] + [channel_rng(master_seed, j) for j in range(c.size)]
     # the outputs come before the block scratch: the other order put acquisition's peak RSS 5 MB higher (heap layout)
     records = [MeasurementRecord(channel=j, samples=np.empty(n_samples), seed=master_seed,
-                                 sampling_rate=ramp.sampling_rate, lo_phase=float(offsets[j])) for j in range(n_ch)]
+                                 sampling_rate=ramp.sampling_rate, lo_phase=float(offsets[j])) for j in range(c.size)]
     chunk = min(_CHUNK, n_samples)
     workers = _WORKERS if n_samples > chunk else 1
-    d = c * np.exp(-1j * offsets)
-    # the noise covariance is sigma^2 (I - b b^T); its square root I - b K b^T is finite at lambda = 0 and 1
-    b = np.stack([d.real, d.imag], axis=1) * (0.5 / sigma)
-    lam, q = np.linalg.eigh(b.T @ b)
-    k = (q / (1.0 + np.sqrt(np.clip(1.0 - lam, 0.0, None)))) @ q.T
     # scratch is allocated here, on the calling thread, as separate arrays; the workers write into it with out=
     scratch = [np.empty(chunk) for _ in range(10)]
-    xs, ps = scratch[0], scratch[1]
     # gens[1] first discards the n_samples x values, so its draws in the block loop are the p values
     for a in range(0, n_samples, chunk):
-        gens[1].standard_normal(out=ps[:min(chunk, n_samples - a)])
+        gens[1].standard_normal(out=scratch[1][:min(chunk, n_samples - a)])
 
     def draw(pairs):
         for gen, dest in pairs:
@@ -206,7 +208,7 @@ def sample_pixel_streams(
         # b^T eps, accumulated in channel order so the sum never depends on a BLAS kernel
         px.fill(0.0)
         pp.fill(0.0)
-        for j in range(n_ch):
+        for j in range(c.size):
             px += np.multiply(block[j][s:e], b[j, 0], out=tmp)
             pp += np.multiply(block[j][s:e], b[j, 1], out=tmp)
         np.cos(theta[s:e], out=cos)
@@ -222,7 +224,7 @@ def sample_pixel_streams(
             tmp += np.multiply(pp, k1, out=tmp2)
             tmp *= 0.5
             w -= tmp
-        for j in range(n_ch):
+        for j in range(c.size):
             samples = block[j][s:e]
             samples *= sigma
             samples += np.multiply(u, d[j].real, out=tmp)
@@ -231,13 +233,28 @@ def sample_pixel_streams(
     for start in range(0, n_samples, chunk):
         m = min(chunk, n_samples - start)
         block = [rec.samples[start:start + m] for rec in records]
-        pairs = list(zip(gens, [xs[:m], ps[:m]] + block))
+        pairs = list(zip(gens, [a[:m] for a in scratch[:2]] + block))
         _in_parallel([lambda g=pairs[w::workers]: draw(g) for w in range(workers)])
         # ramp.times(n_samples)[start:start + m], without the prefix
         theta = ramp.phase(np.arange(start, start + m) / ramp.sampling_rate)
         bounds = [m * w // workers for w in range(workers + 1)]
         _in_parallel([lambda s=s, e=e: mix(block, theta, s, e) for s, e in zip(bounds, bounds[1:])])
     return records
+
+
+def _stream_law(c: np.ndarray, offsets: np.ndarray, r: float, snc_db: float):
+    """(sigma, sx, sp, d, b, k) of the law L(theta) that :func:`sample_pixel_streams` states, with b = B and k = K.
+
+    Checks ``snc_db`` through :class:`ReceiverModel` and ``r`` through :class:`SqueezedVacuumSpec`.
+    """
+    sigma = np.sqrt(VACUUM_VARIANCE + electronic_noise_variance(ReceiverModel(snc_db=snc_db)))
+    sx, sp = np.sqrt(lossy_squeezed_variances(r, 1.0))
+    d = c * np.exp(-1j * offsets)
+    # the noise covariance is sigma^2 (I - b b^T); its square root I - b K b^T is finite at lambda = 0 and 1
+    b = np.stack([d.real, d.imag], axis=1) * (0.5 / sigma)
+    lam, q = np.linalg.eigh(b.T @ b)
+    k = (q / (1.0 + np.sqrt(np.clip(1.0 - lam, 0.0, None)))) @ q.T
+    return sigma, sx, sp, d, b, k
 
 
 def _in_parallel(tasks) -> None:

@@ -10,14 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from qpasim.aperture import (ApertureGeometry, BeamSpec, ChannelSettings, CouplingVector, coupling_vector,
                              deembed_insertion_loss, matched_settings)
-from qpasim.gaussian import (
-    SqueezedVacuumSpec,
-    apply_loss,
-    lossy_squeezed_variances,
-    quadrature_variance,
-    squeezed_vacuum,
-    vacuum,
-)
+from qpasim.gaussian import apply_loss, lossy_squeezed_variances, vacuum
 from qpasim import gaussian, receiver
 from qpasim.chain import predict, source_state
 from qpasim.receiver import (
@@ -35,17 +28,11 @@ from qpasim.receiver import (
 
 FS_HZ = 20e6
 
-# Sampled-versus-oracle tolerance.  The windowed mean square of m zero-mean
-# Gaussian draws of variance V has standard error V * sqrt(2/m).  A 4 % error
-# in V must fail at Z = 4 standard errors, so m >= 2 (Z / REL_TOL)^2 draws per
-# window, and a +-HALF_WINDOW window holds 2 HALF_WINDOW / pi of a ramp over
-# [0, pi).  Averaging the variance law over the window shifts it by about
-# (2 HALF_WINDOW)^2 / 6 of its modulation depth, far below REL_TOL.
+# Sampled-versus-oracle tolerance.  The mean square of m zero-mean Gaussian draws of variance V has standard error
+# V * sqrt(2/m).  A 4 % error in V must fail at Z = 4 standard errors, so m >= 2 (Z / REL_TOL)^2 draws.
 Z = 4.0
 REL_TOL = 0.04
-HALF_WINDOW = 0.02
-M_WINDOW = int(np.ceil(2 * (Z / REL_TOL) ** 2))
-N_ORACLE = int(np.ceil(M_WINDOW * np.pi / (2 * HALF_WINDOW)))
+M_DRAWS = int(np.ceil(2 * (Z / REL_TOL) ** 2))
 
 
 def ramp_over_half_turn(n_samples):
@@ -64,31 +51,74 @@ def records(*streams, rate=FS_HZ, lo_phases=None):
             for j, (s, lo) in enumerate(zip(streams, lo_phases))]
 
 
-class TestSingleChannelAgainstOracle:
-    ETA, R, SNC_DB = 0.6, 0.8, 20.0
+def law_map(law, theta):
+    """L(theta), shape theta.shape + (n, n + 2), of the mix: channel j is sigma eps_j + Re(d_j) u + Im(d_j) v, where
+    u = cos sx x + sin sp p and v = sin sx x - cos sp p, each less its row of k (b^T eps) / 2."""
+    sigma, sx, sp, d, b, k = law
+    dd = np.stack([d.real, d.imag], axis=1)
+    cos, sin = np.cos(theta)[..., np.newaxis], np.sin(theta)[..., np.newaxis]
+    x = sx * (dd[:, 0] * cos + dd[:, 1] * sin)
+    p = sp * (dd[:, 0] * sin - dd[:, 1] * cos)
+    noise = np.broadcast_to(sigma * np.eye(d.size) - 0.5 * dd @ k @ b.T, x.shape + (d.size,))
+    return np.concatenate([x[..., np.newaxis], p[..., np.newaxis], noise], axis=-1)
 
-    @pytest.fixture(scope="class")
-    def stream(self):
-        ramp = ramp_over_half_turn(N_ORACLE)
-        (rec,) = sample_pixel_streams([np.sqrt(self.ETA)], self.R, ramp, N_ORACLE, 11, snc_db=self.SNC_DB)
-        return ramp.phase(ramp.times(N_ORACLE)), rec.samples
 
-    @pytest.mark.parametrize("theta", [0.0, np.pi / 4, np.pi / 2])
-    def test_windowed_variance_matches_propagated_state(self, stream, theta):
-        phases, samples = stream
-        window = np.abs((phases - theta + np.pi / 2) % np.pi - np.pi / 2) < HALF_WINDOW
-        assert window.sum() >= M_WINDOW
-        state = apply_loss(squeezed_vacuum(SqueezedVacuumSpec(r=self.R)), 0, self.ETA)
-        expected = quadrature_variance(state, np.array([1.0]), theta)
-        expected += electronic_noise_variance(ReceiverModel(snc_db=self.SNC_DB))
-        se = expected * np.sqrt(2.0 / window.sum())
-        assert abs(np.mean(samples[window] ** 2) - expected) < Z * se
+@st.composite
+def law_cases(draw):
+    """n = 1-33 couplings of total power <= 1, any LO offsets and phase, r <= 2 and one of three noise levels."""
+    n = draw(st.integers(min_value=1, max_value=33))
+    # c and the offsets come from one array of draws: with two arrays the property took 0.6 s, not 0.4 s
+    parts = draw(hnp.arrays(np.float64, (3, n), elements=st.floats(min_value=-1.0, max_value=1.0)))
+    c = parts[0] + 1j * parts[1]
+    c *= draw(st.floats(min_value=0.0, max_value=1.0)) / (np.linalg.norm(c) or 1.0)
+    offsets, theta = 10 * parts[2], draw(st.floats(min_value=-10.0, max_value=10.0))
+    return c, offsets, theta, draw(st.floats(min_value=0.0, max_value=2.0)), draw(st.sampled_from([np.inf, 30.3, 5.0]))
 
 
 class TestArrayAgainstOracle:
-    """The sampled channels carry the oracle's covariance, vacuum correlations between channels included."""
+    """The sampled channels carry the oracle's covariance, vacuum correlations between channels included: exactly,
+    given iid normals, as L L^T is the oracle's covariance and the records are L applied to the drawn normals."""
 
-    DELTA = 0.01  # the smallest covariance error, in quadrature-variance units, the element test must catch
+    @settings(deadline=None)
+    @given(law_cases())
+    # lossless channels on the unit circle without electronic noise, where clip(1 - lambda) reaches 0, and c = 0
+    @example(([0.6 + 0.8j], [0.0], 0.0, 1.0, np.inf))
+    @example(([1.0], [np.pi / 2], 0.0, 1.0, np.inf))
+    @example(([1j], [0.3], 0.0, 1.0, np.inf))
+    @example((np.zeros(3), [0.0, 1.0, 2.0], 0.4, 1.0, 30.3))
+    @example(([np.sqrt(0.6)], [0.0], np.pi / 4, 0.8, 20.0))  # one lossy channel with electronic noise
+    def test_law_carries_the_oracle_covariance(self, case):
+        c, offsets, theta, r, snc_db = case
+        c, offsets = CouplingVector(c).c, np.asarray(offsets, dtype=float)
+        law_at_theta = law_map(receiver._stream_law(c, offsets, r, snc_db), theta)
+        assert np.all(np.isfinite(law_at_theta))
+        # channel j reads X(offset_j) = cos x_j + sin p_j of the source rotated by the LO phase, plus noise e
+        j = np.arange(c.size)
+        h = np.zeros((c.size, 2 * c.size))
+        h[j, 2 * j], h[j, 2 * j + 1] = np.cos(offsets), np.sin(offsets)
+        oracle = h @ source_state(c * np.exp(-1j * theta), r).cov @ h.T
+        oracle += electronic_noise_variance(ReceiverModel(snc_db=snc_db)) * np.eye(c.size)
+        np.testing.assert_allclose(law_at_theta @ law_at_theta.T, oracle, rtol=0, atol=1e-14 * np.abs(oracle).max())
+
+    # 10 001 samples: one block, or blocks of 4099, 4099 and 1803 split over 2 workers
+    @pytest.mark.parametrize("chunk, workers", [(1 << 16, 1), (4099, 2)], ids=["one_block", "short_last_block"])
+    @pytest.mark.parametrize("c, offsets, r, snc_db", [
+        ([0.3, 0.2j, -0.25, 0.1 - 0.3j], [0.1, -0.7, 2.0, 0.0], 0.7, 25.0),
+        # c = 0: channel j is vacuum only, the one stream it draws from channel_rng(seed, j)
+        (np.zeros(3), [0.0, 1.0, 2.0], 1.0, np.inf),
+    ], ids=["coupled", "uncoupled"])
+    def test_records_are_the_law_on_the_drawn_normals(self, monkeypatch, c, offsets, r, snc_db, chunk, workers):
+        monkeypatch.setattr(receiver, "_CHUNK", chunk)
+        monkeypatch.setattr(receiver, "_WORKERS", workers)
+        n, seed, ramp = 10001, 5, ramp_over_half_turn(10001)
+        recs = sample_pixel_streams(c, r, ramp, n, seed, lo_phases=offsets, snc_db=snc_db)
+        got = np.array([rec.samples for rec in recs])
+        # x and p are the first and second n normals of the source's stream, eps_j the stream of channel j
+        source = channel_rng(seed, len(c)).standard_normal(2 * n)
+        normals = np.array([source[:n], source[n:]] + [channel_rng(seed, j).standard_normal(n) for j in range(len(c))])
+        law = receiver._stream_law(CouplingVector(c).c, np.asarray(offsets, dtype=float), r, snc_db)
+        expected = np.einsum("tjk,kt->jt", law_map(law, ramp.phase(ramp.times(n))), normals)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(got).max()
 
     @pytest.mark.parametrize("r", [0.0, 1.0])
     def test_combined_record_matches_combined_state(self, r):
@@ -96,41 +126,10 @@ class TestArrayAgainstOracle:
         # (r = 1) where the oracle gives 0.25 and 0.0944, far beyond the REL_TOL the record size resolves
         c = np.full(32, 0.15)
         settings = ChannelSettings(gains=np.ones(32), phases=np.zeros(32))
-        streams = sample_pixel_streams(c, r, held_ramp(M_WINDOW), M_WINDOW, 13, lo_phases=-settings.phases)
+        streams = sample_pixel_streams(c, r, held_ramp(M_DRAWS), M_DRAWS, 13, lo_phases=-settings.phases)
         combined = combine_rf(streams, settings).samples
         expected = combine_rf(source_state(c, r), settings).cov[0, 0]
-        assert abs(np.mean(combined**2) - expected) < Z * expected * np.sqrt(2.0 / M_WINDOW)
-
-    def test_channel_covariance_matches_propagated_state(self):
-        c = np.array([0.5, 0.4j, -0.35 + 0.3j, 0.45])
-        offsets = np.array([0.3, -1.1, 2.0, 0.0])
-        r, snc_db = 0.8, 10.0
-        # channel j reads X(offset_j) = cos x_j + sin p_j of the propagated state, plus electronic noise e
-        j = np.arange(c.size)
-        h = np.zeros((c.size, 2 * c.size))
-        h[j, 2 * j], h[j, 2 * j + 1] = np.cos(offsets), np.sin(offsets)
-        oracle = h @ source_state(c, r).cov @ h.T
-        oracle += electronic_noise_variance(ReceiverModel(snc_db=snc_db)) * np.eye(c.size)
-        # mean(x_j x_k) over N zero-mean Gaussian samples has standard error sqrt((C_jj C_kk + C_jk^2) / N);
-        # an error of DELTA in any element must sit 2 Z standard errors out
-        spread = np.outer(np.diag(oracle), np.diag(oracle)) + oracle**2
-        n = int(np.ceil((2 * Z / self.DELTA) ** 2 * spread.max()))
-        streams = sample_pixel_streams(c, r, held_ramp(n), n, 17, lo_phases=offsets, snc_db=snc_db)
-        x = np.array([rec.samples for rec in streams])
-        assert np.all(np.abs(x @ x.T / n - oracle) < Z * np.sqrt(spread / n))
-
-    @pytest.mark.parametrize("c, theta", [([0.6 + 0.8j], 0.0), ([1.0], np.pi / 2), ([1j], 0.3)])
-    def test_lossless_channel_streams_the_source(self, c, theta):
-        (rec,) = sample_pixel_streams(c, 1.0, held_ramp(M_WINDOW), M_WINDOW, 19, lo_phases=[theta])
-        expected = quadrature_variance(squeezed_vacuum(SqueezedVacuumSpec(r=1.0)), np.asarray(c), theta)
-        assert np.all(np.isfinite(rec.samples))
-        assert abs(np.mean(rec.samples**2) - expected) < Z * expected * np.sqrt(2.0 / M_WINDOW)
-
-    def test_uncoupled_channels_stream_their_own_vacuum(self):
-        # c = 0: channel j is vacuum only, the one stream it draws from channel_rng(seed, j)
-        streams = sample_pixel_streams(np.zeros(3), 1.0, held_ramp(4096), 4096, 23, lo_phases=[0.0, 1.0, 2.0])
-        for j, rec in enumerate(streams):
-            np.testing.assert_array_equal(rec.samples, 0.5 * channel_rng(23, j).standard_normal(4096))
+        assert abs(np.mean(combined**2) - expected) < Z * expected * np.sqrt(2.0 / M_DRAWS)
 
 
 @st.composite

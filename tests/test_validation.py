@@ -138,7 +138,7 @@ def test_tall_network_keeps_the_passivity_rule(matrix):
     {"couplings": [0.1, NAN]},
     {"r": NAN},
     {"lo_phases": [0.0, NAN]},
-    # MeasurementRecord owns each channel's LO offset; the sampler has no finiteness check of its own
+    # the sampler's law reads the LO offsets before any MeasurementRecord checks them, so the sampler checks them
     pytest.param({"lo_phases": [0.0, INF]}, id="lo_phases.inf"),
     pytest.param({"lo_phases": [-INF, 0.0]}, id="lo_phases.neg_inf"),
     {"snc_db": NAN},
@@ -251,31 +251,70 @@ def test_owner_copies_its_input(make, field, dtype):
     assert np.array_equal(getattr(owner, field), np.full(2, 0.1, dtype=dtype))
 
 
-@pytest.mark.parametrize("make, field", [
-    pytest.param(lambda a: GaussianState(a, 0.25 * np.eye(2)), "mean", id="GaussianState.mean"),
-    pytest.param(lambda a: GaussianState(np.zeros(2), np.diag(a)), "cov", id="GaussianState.cov"),
-    pytest.param(lambda a: ChannelSettings(a, np.zeros(2)), "gains", id="ChannelSettings.gains"),
-    pytest.param(lambda a: ChannelSettings(np.ones(2), a), "phases", id="ChannelSettings.phases"),
-    pytest.param(lambda a: MeasurementRecord(channel=0, samples=a, seed=1, sampling_rate=20e6), "samples",
-                 id="MeasurementRecord.samples"),
-    pytest.param(lambda a: sample_pixel_streams([0.1, 0.2], 0.5, PhaseRamp(), 16, 1, lo_phases=a), "lo_phases",
-                 id="sample_pixel_streams.lo_phases"),
-    pytest.param(lambda a: element_pattern(ApertureGeometry(), a), "theta_deg", id="element_pattern.theta_deg"),
-    pytest.param(ApertureGeometry().mode_segments, "center_um", id="ApertureGeometry.mode_segments.center_um"),
-])
-@pytest.mark.parametrize("given", [
-    # a complex array only warned and lost its imaginary part: phases [0.1 + 1j, 0.2] were stored as [0.1, 0.2]
-    pytest.param(np.array([0.3 + 2j, 0.25]), id="array"),
-    # a list of Python complex numbers raised TypeError
-    pytest.param([0.3 + 2j, 0.25], id="list"),
-    # the rule is the dtype's, so a zero imaginary part is rejected too
-    pytest.param(np.array([0.3, 0.25], dtype=complex), id="zero_imag"),
-])
-def test_real_owner_rejects_complex_input(make, field, given):
+def _real_owner_cases():
+    """Every owner of a real array or scalar, each with the inputs it must reject and a real value that it accepts."""
+    array_owners = [
+        (lambda a: GaussianState(a, 0.25 * np.eye(2)), "mean", "GaussianState.mean"),
+        (lambda a: GaussianState(np.zeros(2), np.diag(a)), "cov", "GaussianState.cov"),
+        (lambda a: ChannelSettings(a, np.zeros(2)), "gains", "ChannelSettings.gains"),
+        (lambda a: ChannelSettings(np.ones(2), a), "phases", "ChannelSettings.phases"),
+        (lambda a: MeasurementRecord(channel=0, samples=a, seed=1, sampling_rate=20e6), "samples",
+         "MeasurementRecord.samples"),
+        (lambda a: sample_pixel_streams([0.1, 0.2], 0.5, PhaseRamp(), 16, 1, lo_phases=a), "lo_phases",
+         "sample_pixel_streams.lo_phases"),
+        (lambda a: element_pattern(ApertureGeometry(), a), "theta_deg", "element_pattern.theta_deg"),
+        (ApertureGeometry().mode_segments, "center_um", "ApertureGeometry.mode_segments.center_um"),
+    ]
+    array_inputs = [
+        # a complex array only warned and lost its imaginary part: phases [0.1 + 1j, 0.2] were stored as [0.1, 0.2]
+        ("array", np.array([0.3 + 2j, 0.25])),
+        # a list of Python complex numbers raised TypeError
+        ("list", [0.3 + 2j, 0.25]),
+        # the rule is the dtype's, so a zero imaginary part is rejected too
+        ("zero_imag", np.array([0.3, 0.25], dtype=complex)),
+        # the float cast parsed strings: gains ["0.3", "0.25"] were stored as [0.3, 0.25]
+        ("numeric_string", ["0.3", "0.25"]),
+    ]
+    # the dataclass fields with a float default, and every scalar argument; the other fields are set so that 0.3
+    # passes each rule: a top-hat narrower than a 0.3 um pitch, and a held ramp below a 0.3 Hz rate
+    scalar_owners = [(lambda v: SqueezedVacuumSpec(r=v), "r", "SqueezedVacuumSpec.r")]
+    for cls, base in [(ReceiverModel, {}), (PhaseRamp, {"frequency_hz": 0.0}), (BeamSpec, {}),
+                      (ApertureGeometry, {"mode_profile": "tophat", "antenna_width_um": 0.1})]:
+        for f in dataclasses.fields(cls):
+            if isinstance(f.default, float):
+                scalar_owners.append((lambda v, cls=cls, kw=base, name=f.name:
+                                      cls(**dict(kw, **{name: v})), f.name, "%s.%s" % (cls.__name__, f.name)))
+    scalar_owners += [
+        (lambda v: MeasurementRecord(0, np.zeros(3), 1, sampling_rate=v), "sampling_rate",
+         "MeasurementRecord.sampling_rate"),
+        (lambda v: MeasurementRecord(0, np.zeros(3), 1, 20e6, lo_phase=v), "lo_phase", "MeasurementRecord.lo_phase"),
+        (lambda v: apply_loss(vacuum(1), 0, v), "eta", "apply_loss.eta"),
+        (lambda v: lossy_squeezed_variances(0.5, v), "eta", "lossy_squeezed_variances.eta"),
+        (lambda v: predict([0.1, 0.2], v, 0.5, ChannelSettings(np.ones(2), np.zeros(2)), ReceiverModel()), "kappa",
+         "predict.kappa"),
+        (lambda v: quadrature_variance(vacuum(1), [1.0], v), "theta", "quadrature_variance.theta"),
+    ]
+    scalar_inputs = [
+        # NumPy orders complex scalars lexicographically, so each range check passed 0.3 + 2j and kept it
+        ("numpy_scalar", np.complex128(0.3 + 2j)),
+        # a Python complex, a string or None raised TypeError from the comparison
+        ("complex", 0.3 + 2j),
+        ("numeric_string", "0.3"),
+        ("none", None),
+    ]
+    for owners, inputs, real in [(array_owners, array_inputs, np.array([0.3, 0.25])),
+                                 (scalar_owners, scalar_inputs, 0.3)]:
+        for make, field, owner in owners:
+            for name, given in inputs:
+                yield pytest.param(make, field, given, real, id="%s-%s" % (name, owner))
+
+
+@pytest.mark.parametrize("make, field, given, real", _real_owner_cases())
+def test_real_owner_rejects_complex_input(make, field, given, real):
     with pytest.raises(ValueError, match="^%s must be real$" % field):
         make(given)
-    # the real part alone passes every rule
-    make(np.real(given))
+    # the real value passes every rule
+    make(real)
 
 
 @pytest.mark.parametrize("owner, field, value", [
